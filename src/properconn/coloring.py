@@ -7,13 +7,25 @@ certificate), is the whole graph properly connected, and does it satisfy the
 strong variant (two proper paths per pair whose first edges differ in color
 and whose last edges differ in color).
 
+Each check builds one colored view of the graph: an edge-indexed color
+vector plus the per-graph incidence ``v -> ((neighbor, edge index), ...)``.
+Every proper-walk question runs through one BFS, ``_walk_arrivals``, over
+(vertex, last color) states kept as one bitmask per vertex; color 0 marks an
+uncolored edge that any color may follow, which is how the exact solver
+screens partial colorings with the same loop.
+
 Path existence runs on a per-graph decomposition: vertices are grouped into
 classes that no one- or two-edge cut separates, and every simple path then
 factors through the class quotient. Inside the (small) classes we enumerate
 segments exhaustively; across classes a profile DP chains achievable
 (first color, last color) pairs. Graphs where a multi-vertex class keeps three
-or more boundary edges fall back to a direct DFS with a walk-reachability
-prune. Certificates are always re-validated before being returned.
+or more boundary edges fall back to a direct DFS. The path DFSs prune with
+walk reachability toward the target: a proper walk reversed is a proper walk,
+so one BFS *from* the target gives, per vertex, the colors a walk can arrive
+by, and a step into ``w`` by color ``col`` can still finish exactly when some
+arrival color at ``w`` differs from ``col``. Step caps end a search that runs
+too long with :class:`PathBudgetExceeded` (inconclusive). Certificates are
+always re-validated before being returned.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .graph import (
     Graph,
     InternalError,
     PreconditionError,
+    SearchBudgetExceeded,
     _norm,
     bridges,
     connected_components,
@@ -35,6 +48,22 @@ from .graph import (
 
 class ColoringError(ValueError):
     """Malformed edge coloring (bad palette, missing or alien edges)."""
+
+
+class PathBudgetExceeded(SearchBudgetExceeded):
+    """A path search hit its step cap before settling a query.
+
+    Inconclusive, like any :class:`SearchBudgetExceeded`: ``nodes`` is the
+    step count at the stop, and no lower bound on the palette comes with it.
+    """
+
+    def __init__(self, what: str, k: int, steps: int):
+        super().__init__(k, None, steps)
+        self.what = what
+        self.args = (f"{what} exceeded its step cap of {steps} steps (k={k})",)
+
+    def __reduce__(self):
+        return type(self), (self.what, self.k, self.nodes)
 
 
 @dataclass(frozen=True)
@@ -55,30 +84,43 @@ class EdgeColoring:
         return self.assignment[_norm(u, v)]
 
     def validate(self, g: Graph) -> None:
-        if self.k < 0:
+        k = self.k
+        if type(k) is not int:
+            raise ColoringError(f"palette size must be an integer, got {k!r}")
+        if k < 0:
             raise ColoringError("palette size must be nonnegative")
-        if set(self.assignment) != set(g.edges):
+        if self.assignment.keys() != g.edge_index().keys():
             missing = set(g.edges) - set(self.assignment)
             alien = set(self.assignment) - set(g.edges)
             raise ColoringError(
                 f"assignment mismatch: missing={sorted(missing)[:4]} "
                 f"alien={sorted(alien)[:4]}"
             )
+        cols = self.assignment.values()
+        # One pass in C for the common case; the loop names an offender.
+        if not cols or (set(map(type, cols)) == {int} and 1 <= min(cols) and max(cols) <= k):
+            return
         for e, col in self.assignment.items():
-            if not (1 <= col <= self.k):
-                raise ColoringError(f"edge {e} has color {col} outside 1..{self.k}")
+            if type(col) is not int:  # bools and floats too
+                raise ColoringError(f"edge {e} has non-integer color {col!r}")
+            if not (1 <= col <= k):
+                raise ColoringError(f"edge {e} has color {col} outside 1..{k}")
 
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
 
     def as_vector(self, g: Graph) -> tuple[int, ...]:
-        return tuple(self.assignment[e] for e in g.edges)
+        return tuple(map(self.assignment.__getitem__, g.edges))
 
     @classmethod
     def from_vector(cls, g: Graph, k: int, vec: Sequence[int]) -> "EdgeColoring":
         if len(vec) != g.m:
             raise ColoringError(f"vector length {len(vec)} != m={g.m}")
-        return cls(k, dict(zip(g.edges, vec)))
+        # The keys are g.edges, already normalized: skip __post_init__.
+        c = object.__new__(cls)
+        object.__setattr__(c, "k", k)
+        object.__setattr__(c, "assignment", dict(zip(g.edges, vec)))
+        return c
 
     def relabel(self, perm: dict[int, int]) -> "EdgeColoring":
         return EdgeColoring(self.k, {e: perm[c] for e, c in self.assignment.items()})
@@ -143,52 +185,84 @@ def certificate_from_path(
     return cert
 
 
-# -- per-call color view -----------------------------------------------------
+# -- one colored view per check ------------------------------------------------
+
+
+Incidence = Sequence[Sequence[tuple[int, int]]]
+
+
+def _incidence(g: Graph) -> Incidence:
+    """``inc[v]`` = ((neighbor, index in g.edges), ...) in ascending neighbor
+    order; cached on the graph."""
+    try:
+        return g._cache["incidence"]
+    except KeyError:
+        eidx = g.edge_index()
+        inc = tuple(
+            tuple((w, eidx[_norm(v, w)]) for w in g.adj[v]) for v in range(g.n)
+        )
+        g._cache["incidence"] = inc
+        return inc
 
 
 class _ColorView:
-    """Precomputed per-(graph, coloring) adjacency with colors."""
+    """One (graph, coloring) pair as the searches read it."""
 
-    __slots__ = ("g", "c", "inc")
+    __slots__ = ("g", "c", "colors", "einc", "inc")
 
     def __init__(self, g: Graph, c: EdgeColoring):
         self.g = g
         self.c = c
-        # inc[v] = tuple of (neighbor, color) in ascending neighbor order
-        self.inc = tuple(
-            tuple((w, c.assignment[_norm(v, w)]) for w in g.adj[v])
-            for v in range(g.n)
-        )
+        self.colors = colors = c.as_vector(g)  # colors[i] colors g.edges[i]
+        self.einc = einc = _incidence(g)
+        # inc[v] = (neighbor, color) pairs in ascending neighbor order
+        self.inc = [[(w, colors[i]) for w, i in row] for row in einc]
 
 
 # -- proper walks -------------------------------------------------------------
 
 
+def _walk_arrivals(
+    inc: Incidence, colors: Sequence[int], source: int, target: int = -1
+) -> list[int]:
+    """BFS over (vertex, last color) states of proper walks from ``source``.
+
+    ``inc[v]`` lists (neighbor, edge index) and ``colors[i]`` is edge i's
+    color; color 0 is an uncolored edge, which any color may follow and
+    precede. Returns ``arr`` with bit ``col`` of ``arr[w]`` set when some
+    proper walk from the source arrives at ``w`` by an edge of color ``col``;
+    the source starts with bit 0 (nothing to differ from yet), so
+    ``arr[w] != 0`` exactly when ``w`` is reachable. Given a ``target``, the
+    search stops as soon as a walk arrives there. Searches confined to part
+    of the graph pass an incidence listing only the edges they may use.
+    """
+    arr = [0] * len(inc)
+    arr[source] = 1
+    frontier = [(source, 0)]
+    while frontier:
+        nxt = []
+        for v, last in frontier:
+            for w, i in inc[v]:
+                col = colors[i]
+                if col and col == last:
+                    continue
+                bit = 1 << col
+                if not arr[w] & bit:
+                    arr[w] |= bit
+                    if w == target:
+                        return arr
+                    nxt.append((w, col))
+        frontier = nxt
+    return arr
+
+
 def proper_walk_reach(g: Graph, c: EdgeColoring, source: int) -> set[int]:
     """Vertices reachable from ``source`` along a properly colored walk.
 
-    Walks may repeat vertices and edges; reachability is a BFS over
-    (vertex, entry-color) states. The source is always included.
+    Walks may repeat vertices and edges. The source is always included.
     """
-    view = _ColorView(g, c)
-    seen_state: set[tuple[int, int]] = set()
-    out = {source}
-    frontier: list[tuple[int, int]] = []
-    for w, col in view.inc[source]:
-        if (w, col) not in seen_state:
-            seen_state.add((w, col))
-            out.add(w)
-            frontier.append((w, col))
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for v, incol in frontier:
-            for w, col in view.inc[v]:
-                if col != incol and (w, col) not in seen_state:
-                    seen_state.add((w, col))
-                    out.add(w)
-                    nxt.append((w, col))
-        frontier = nxt
-    return out
+    arr = _walk_arrivals(_incidence(g), c.as_vector(g), source)
+    return {w for w, bits in enumerate(arr) if bits}
 
 
 def proper_walk_exists(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
@@ -200,7 +274,7 @@ def proper_walk_exists(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
     """
     if u == v:
         return True
-    return v in proper_walk_reach(g, c, u)
+    return _walk_arrivals(_incidence(g), c.as_vector(g), u, v)[v] != 0
 
 
 # -- path engine ---------------------------------------------------------------
@@ -286,6 +360,13 @@ class _PathEngine:
             len(self.members[ci]) > 1 and ports[ci] > 2 for ci in range(nclasses)
         )
         self.member_set = [frozenset(ms) for ms in self.members]
+        # the incidence minus the edges between classes: a walk search over
+        # it stays inside the class it starts in
+        cls = self.class_of
+        self.class_inc: Incidence = tuple(
+            tuple((w, i) for w, i in row if cls[w] == cls[v])
+            for v, row in enumerate(_incidence(g))
+        )
         self._routes: dict[tuple[int, int], list[_Route]] = {}
         self._loops: dict[int, list[_Route]] = {}
 
@@ -337,6 +418,21 @@ class _PathEngine:
 
     # -- segment search -------------------------------------------------------
 
+    def _arrivals_from(
+        self, view: _ColorView, target: int, whole: bool, memo: dict
+    ) -> list[int]:
+        """Arrival masks of proper walks from ``target``, over the whole graph
+        or inside its class; cached per check. Reversed, ``arr[w]`` has a bit
+        other than ``col`` exactly when a proper walk entered at ``w`` by an
+        edge of color ``col`` can go on to reach ``target``."""
+        key = ("arrivals", target, whole)
+        try:
+            return memo[key]
+        except KeyError:
+            inc = view.einc if whole else self.class_inc
+            arr = memo[key] = _walk_arrivals(inc, view.colors, target)
+            return arr
+
     def _segment_profiles(
         self,
         view: _ColorView,
@@ -351,52 +447,64 @@ class _PathEngine:
         if key in memo:
             return memo[key]
         out: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Once every (first, last) pair the endpoints' edges allow is found,
+        # later paths only repeat profiles.
+        firsts = {col for w, col in view.inc[x] if w == y or w in allowed}
+        lasts = {col for w, col in view.inc[y] if w == x or w in allowed}
+        every = len(firsts) * len(lasts)
         steps = 0
 
-        def dfs(v: int, first: int, last: int, path: list[int], onpath: set[int]):
+        def dfs(
+            v: int, first: int, last: int, path: list[int], onpath: set[int]
+        ) -> bool:
+            """True once ``out`` holds every possible profile."""
             nonlocal steps
             steps += 1
             if steps > _PROFILE_STEP_CAP:
-                raise InternalError("segment profile enumeration exceeded step cap")
+                raise PathBudgetExceeded(
+                    "segment profile enumeration", view.c.k, _PROFILE_STEP_CAP
+                )
             for w, col in view.inc[v]:
                 if w == y:
                     if col != last:
                         prof = (first if first else col, col)
                         if prof not in out:
                             out[prof] = tuple(path + [y])
+                            if len(out) == every:
+                                return True
                     continue
                 if w in allowed and w not in onpath and col != last:
                     path.append(w)
                     onpath.add(w)
-                    dfs(w, first if first else col, col, path, onpath)
+                    if dfs(w, first if first else col, col, path, onpath):
+                        return True
                     onpath.discard(w)
                     path.pop()
+            return False
 
         dfs(x, 0, 0, [x], {x})
         memo[key] = out
         return out
 
     def _segment_exists(
-        self,
-        view: _ColorView,
-        allowed: frozenset[int],
-        x: int,
-        y: int,
+        self, view: _ColorView, x: int, y: int, memo: dict
     ) -> Optional[tuple[int, ...]]:
-        """One proper x->y path inside ``allowed`` (walk-pruned DFS)."""
+        """One proper x->y path inside the endpoints' class (walk-pruned
+        DFS)."""
         if x == y:
             raise InternalError("segment endpoints coincide")
-        live = _suffix_live_states(view, allowed, y)
-        if 0 not in live[x]:
+        arr = self._arrivals_from(view, y, False, memo)
+        if not arr[x]:
             return None
 
         def dfs(v: int, last: int, path: list[int], onpath: set[int]):
             for w, col in view.inc[v]:
-                if col == last or w not in allowed:
+                if col == last:
                     continue
                 if w == y:
                     return path + [y]
-                if w not in onpath and col in live[w]:
+                # arr is 0 outside the class
+                if w not in onpath and arr[w] & ~(1 << col):
                     path.append(w)
                     onpath.add(w)
                     got = dfs(w, col, path, onpath)
@@ -447,7 +555,7 @@ class _PathEngine:
                         if add(prof, path):
                             return True
                 else:
-                    path = self._segment_exists(view, allowed, u, v)
+                    path = self._segment_exists(view, u, v, memo)
                     if path is not None:
                         prof = (
                             view.c.color(path[0], path[1]),
@@ -470,7 +578,7 @@ class _PathEngine:
         # full enumeration settles anything it could not.
         if quotient_phase() or not self.simple:
             return out
-        self._simple_profiles(view, u, v, add)
+        self._simple_profiles(view, u, v, memo, add)
         return out
 
     def path_exists(
@@ -651,7 +759,7 @@ class _PathEngine:
 
         def dfs(v: int, last: int, path: list[int], onpath: set[int]):
             if len(out) >= cap:
-                raise InternalError("segment enumeration exceeded cap")
+                raise PathBudgetExceeded("segment enumeration", view.c.k, cap)
             for w, col in view.inc[v]:
                 if col == last:
                     continue
@@ -670,9 +778,9 @@ class _PathEngine:
 
     # -- fallback: direct DFS over the whole graph ------------------------------
 
-    def _simple_profiles(self, view, u: int, v: int, add) -> None:
-        live = _suffix_live_states(view, frozenset(range(self.g.n)), v)
-        if 0 not in live[u]:
+    def _simple_profiles(self, view, u: int, v: int, memo, add) -> None:
+        arr = self._arrivals_from(view, v, True, memo)
+        if not arr[u]:
             return
         steps = 0
         stop = False
@@ -683,7 +791,9 @@ class _PathEngine:
                 return
             steps += 1
             if steps > _PROFILE_STEP_CAP:
-                raise InternalError("path enumeration exceeded step cap")
+                raise PathBudgetExceeded(
+                    "path enumeration", view.c.k, _PROFILE_STEP_CAP
+                )
             for w, col in view.inc[x]:
                 if col == last:
                     continue
@@ -692,7 +802,7 @@ class _PathEngine:
                         stop = True
                         return
                     continue
-                if w not in onpath and col in live[w]:
+                if w not in onpath and arr[w] & ~(1 << col):
                     path.append(w)
                     onpath.add(w)
                     dfs(w, first if first else col, col, path, onpath)
@@ -702,44 +812,6 @@ class _PathEngine:
                         return
 
         dfs(u, 0, 0, [u], {u})
-
-
-def _suffix_live_states(
-    view: _ColorView, allowed: frozenset[int], target: int
-) -> list[set[int]]:
-    """live[v] = set of entry colors (0 = unconstrained) from which a proper
-    walk inside ``allowed`` can still reach ``target``."""
-    g = view.g
-    live: list[set[int]] = [set() for _ in range(g.n)]
-    all_in: list[set[int]] = [set() for _ in range(g.n)]
-    for v in range(g.n):
-        if v in allowed or v == target:
-            all_in[v] = {0} | {col for _, col in view.inc[v]}
-    live[target] = set(all_in[target])
-    frontier: list[tuple[int, int]] = []
-    # (u, cin) is live when some edge u->w with color col != cin leads to a
-    # state (w, col) that is live
-    for u, col in view.inc[target]:
-        if u in allowed:
-            for cin in all_in[u]:
-                if cin != col and cin not in live[u]:
-                    live[u].add(cin)
-                    frontier.append((u, cin))
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for w, wcol in frontier:
-            # predecessors u entering w via color wcol
-            for u, col in view.inc[w]:
-                if col != wcol:
-                    continue
-                if u not in allowed:
-                    continue
-                for cin in all_in[u]:
-                    if cin != col and cin not in live[u]:
-                        live[u].add(cin)
-                        nxt.append((u, cin))
-        frontier = nxt
-    return live
 
 
 def _engine(g: Graph) -> _PathEngine:
@@ -782,17 +854,20 @@ def is_proper_connected(
         return True, None
     if len(connected_components(g)) != 1:
         raise PreconditionError("proper connectivity is defined on connected graphs")
-    view = _ColorView(g, c)
-    eng = _engine(g)
-    memo: dict = {}
-    for u in range(g.n):
-        walk_ok = proper_walk_reach(g, c, u)
-        for v in range(u + 1, g.n):
-            if v not in walk_ok:
-                return False, (u, v)
-            if eng.path_exists(view, u, v, memo) is None:
-                return False, (u, v)
-    return True, None
+    pair = _first_unconnected_pair(_ColorView(g, c), {})
+    return pair is None, pair
+
+
+def _first_unconnected_pair(view: _ColorView, memo: dict) -> Optional[tuple[int, int]]:
+    """The lexicographically first pair without a proper path, or None."""
+    eng = _engine(view.g)
+    n = view.g.n
+    for u in range(n):
+        reach = _walk_arrivals(view.einc, view.colors, u)
+        for v in range(u + 1, n):
+            if not reach[v] or eng.path_exists(view, u, v, memo) is None:
+                return u, v
+    return None
 
 
 def _compatible(profs: dict) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:

@@ -46,9 +46,8 @@ from .coloring import (
     EdgeColoring,
     _ColorView,
     _engine,
-    is_proper_connected,
-    proper_path_exists,
-    proper_walk_reach,
+    _first_unconnected_pair,
+    _walk_arrivals,
 )
 
 VARIANTS = ("k33", "mini")
@@ -595,10 +594,6 @@ class RefutationWitness:
     verified: bool = False
 
 
-def _verify_dead_pair(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
-    return proper_path_exists(g, c, u, v) is None
-
-
 def refute_2_coloring(
     g: Graph, spec: GadgetSpec, c: EdgeColoring
 ) -> Optional[RefutationWitness]:
@@ -613,12 +608,19 @@ def refute_2_coloring(
     loudly.
     """
     c.validate(g)
+    # One view and one memo serve the walk sweep and every path query below.
+    view = _ColorView(g, c)
+    memo: dict = {}
+
+    def dead(u: int, v: int) -> bool:
+        return _engine(g).path_exists(view, u, v, memo) is None
+
     # (i) walk filter sweep
     for u in range(g.n):
-        reach = proper_walk_reach(g, c, u)
+        reach = _walk_arrivals(view.einc, view.colors, u)
         for v in range(u + 1, g.n):
-            if v not in reach:
-                if not _verify_dead_pair(g, c, u, v):
+            if not reach[v]:
+                if not dead(u, v):
                     raise InternalError(
                         f"walk filter claimed dead pair ({u},{v}) but a proper "
                         "path exists"
@@ -635,7 +637,7 @@ def refute_2_coloring(
             region = set(spec.pairs[ow.pair_index].region())
             partner = min(v for v in range(g.n) if v not in region)
             u, v = sorted((ow.vertex, partner))
-            if _verify_dead_pair(g, c, u, v):
+            if dead(u, v):
                 return RefutationWitness((u, v), "one-way", one_way, verified=True)
     for (na, wa), (nb, wb) in itertools.combinations(sorted(one_way.items()), 2):
         if wa.stuck or wb.stuck:
@@ -645,11 +647,11 @@ def refute_2_coloring(
         if da != db:
             continue
         u, v = sorted((wa.vertex, wb.vertex))
-        if _verify_dead_pair(g, c, u, v):
+        if dead(u, v):
             return RefutationWitness((u, v), "one-way", one_way, verified=True)
     # (iii) exhaustive
-    ok, pair = is_proper_connected(g, c)
-    if not ok:
+    pair = _first_unconnected_pair(view, memo)
+    if pair is not None:
         return RefutationWitness(pair, "exhaustive", one_way, verified=True)
     return None
 

@@ -29,6 +29,24 @@ class InternalError(RuntimeError):
     """A postcondition this library promises failed to materialize."""
 
 
+class SearchBudgetExceeded(RuntimeError):
+    """A search ran out of budget before it settled its question.
+
+    Explicitly *inconclusive*: carries the palette size under test, the lower
+    bound established so far (None when the search establishes none), and
+    the node count at the stop.
+    """
+
+    def __init__(self, k: int, lower: Optional[int], nodes: int):
+        super().__init__(
+            f"search budget exhausted at k={k} after {nodes} nodes "
+            f"(established lower bound {lower})"
+        )
+        self.k = k
+        self.lower = lower
+        self.nodes = nodes
+
+
 Edge = tuple[int, int]
 
 

@@ -19,30 +19,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .graph import Graph, PreconditionError, all_pairs_distances, is_connected
+from .graph import (
+    Graph,
+    PreconditionError,
+    SearchBudgetExceeded,
+    all_pairs_distances,
+    is_connected,
+)
 from .coloring import (
     EdgeColoring,
+    _walk_arrivals,
     has_strong_property,
     is_proper_connected,
     proper_path_exists,
 )
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The node budget ran out before the search tree was exhausted.
-
-    Explicitly *inconclusive*: carries the palette size under test, the lower
-    bound established so far, and the node count at the stop.
-    """
-
-    def __init__(self, k: int, lower: int, nodes: int):
-        super().__init__(
-            f"search budget exhausted at k={k} after {nodes} nodes "
-            f"(established lower bound {lower})"
-        )
-        self.k = k
-        self.lower = lower
-        self.nodes = nodes
 
 
 @dataclass
@@ -111,66 +101,20 @@ class _Search:
         self.leaves = 0
         self.conflict: Optional[tuple[int, int]] = None
 
-    # A walk that may use uncolored edges freely: state (v, last) where
-    # last=0 means the previous edge was uncolored (or the walk just started)
-    # and imposes no constraint.
-    def _wildcard_reach(self, a: int, b: int) -> bool:
-        inc = self.inc
-        ecolor = self.ecolor
-        seen = [0] * self.g.n  # bitmask over last-values 0..k
-        seen[a] = 1
-        frontier = [(a, 0)]
-        while frontier:
-            nxt = []
-            for v, last in frontier:
-                for w, ei in inc[v]:
-                    col = ecolor[ei]
-                    if col and col == last:
-                        continue
-                    if w == b:
-                        return True
-                    bit = 1 << col
-                    if not seen[w] & bit:
-                        seen[w] |= bit
-                        nxt.append((w, col))
-            frontier = nxt
-        return a == b
-
-    def _wildcard_reach_set(self, a: int) -> set[int]:
-        inc = self.inc
-        ecolor = self.ecolor
-        seen = [0] * self.g.n
-        seen[a] = 1
-        out = {a}
-        frontier = [(a, 0)]
-        while frontier:
-            nxt = []
-            for v, last in frontier:
-                for w, ei in inc[v]:
-                    col = ecolor[ei]
-                    if col and col == last:
-                        continue
-                    bit = 1 << col
-                    if not seen[w] & bit:
-                        seen[w] |= bit
-                        out.add(w)
-                        nxt.append((w, col))
-            frontier = nxt
-        return out
-
     def _prune(self, e: tuple[int, int]) -> bool:
         """True when the partial coloring provably cannot be completed."""
+        # Uncolored edges (color 0) act as free colors in the walk search.
         cf = self.conflict
-        if cf is not None and not self._wildcard_reach(cf[0], cf[1]):
+        if cf is not None and not _walk_arrivals(self.inc, self.ecolor, *cf)[cf[1]]:
             return True
         for x in e:
             dx = self.dist[x]
             need = [y for y in self.touched_stack if dx[y] >= 2]
             if not need:
                 continue
-            reach = self._wildcard_reach_set(x)
+            reach = _walk_arrivals(self.inc, self.ecolor, x)
             for y in need:
-                if y not in reach:
+                if not reach[y]:
                     self.conflict = (x, y) if x < y else (y, x)
                     return True
         return False

@@ -51,6 +51,23 @@ def proper_paths(g: Graph, c, u: int, v: int):
     ]
 
 
+def brute_walk_reach(g: Graph, c, s: int) -> set[int]:
+    """Vertices a proper walk from ``s`` reaches, by BFS over directed edges:
+    a walk that last crossed a->b may go on along b->w when the two edges
+    differ in color."""
+    out = {s}
+    seen = {(s, w) for w in g.adj[s]}
+    q = deque(seen)
+    while q:
+        a, b = q.popleft()
+        out.add(b)
+        for w in g.adj[b]:
+            if (b, w) not in seen and c.color(a, b) != c.color(b, w):
+                seen.add((b, w))
+                q.append((b, w))
+    return out
+
+
 def brute_has_proper_path(g: Graph, c, u: int, v: int) -> bool:
     return any(
         is_proper_seq(path_colors(g, c, p)) for p in simple_paths(g, u, v)

@@ -1,6 +1,7 @@
 """Edge colorings, proper-path certificates, and the connectivity checkers."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,8 +11,10 @@ from properconn import (
     EdgeColoring,
     Graph,
     InternalError,
+    PathBudgetExceeded,
     PreconditionError,
     ProperPathCertificate,
+    SearchBudgetExceeded,
     StrongWitness,
     certificate_from_path,
     corpus,
@@ -19,7 +22,9 @@ from properconn import (
     is_proper_connected,
     proper_path_exists,
     proper_walk_exists,
+    proper_walk_reach,
 )
+from properconn.coloring import _engine
 
 import oracles
 
@@ -289,6 +294,66 @@ class TestHasStrongProperty:
             if chk.ok:
                 for w in chk.witnesses.values():
                     w.validate(g, c)
+
+
+def _random_colored(rng, n, m, k):
+    g = corpus.random_connected(n, m, rng)
+    return g, EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
+
+
+class TestSharedWalkSearch:
+    """The one walk BFS behind walk reach, the path DFS prunes and the solver,
+    against the directed-edge walk oracle and the path enumerations."""
+
+    def test_walk_reach_matches_directed_edge_oracle(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(8, 16)
+            g, c = _random_colored(rng, n, rng.randint(n - 1, 2 * n), rng.choice((2, 3)))
+            for s in range(g.n):
+                assert proper_walk_reach(g, c, s) == oracles.brute_walk_reach(g, c, s)
+
+    def test_path_queries_match_brute_force_on_both_engine_kinds(self):
+        # Sparse graphs mostly give engines on the direct-DFS fallback
+        # (``simple``: a multi-vertex class with three or more boundary
+        # edges); dense ones and rings of K4s keep multi-vertex classes on
+        # the quotient model. Both prune with walks reversed from the target.
+        rng = random.Random(31)
+        graphs = []
+        for _ in range(14):
+            n = rng.randint(8, 10)
+            graphs.append(_random_colored(rng, n, rng.randint(n, n + 4), rng.choice((2, 3))))
+        for _ in range(8):
+            graphs.append(_random_colored(rng, 8, rng.randint(14, 17), rng.choice((2, 3))))
+        ring = Graph(
+            8,
+            [e for base in (0, 4) for e in itertools.combinations(range(base, base + 4), 2)]
+            + [(0, 4), (3, 7)],
+        )
+        for _ in range(4):
+            k = rng.choice((2, 3))
+            graphs.append(
+                (ring, EdgeColoring.from_vector(ring, k, [rng.randint(1, k) for _ in ring.edges]))
+            )
+        kinds = {True: 0, False: 0}
+        for g, c in graphs:
+            eng = _engine(g)
+            if any(len(ms) > 1 for ms in eng.members):
+                kinds[eng.simple] += 1
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    got = proper_path_exists(g, c, u, v) is not None
+                    assert got == oracles.brute_has_proper_path(g, c, u, v)
+            assert has_strong_property(g, c).ok == oracles.brute_strong(g, c)
+        assert kinds[True] >= 5 and kinds[False] >= 5
+
+
+class TestPathBudget:
+    def test_inconclusive_and_survives_a_worker_round_trip(self):
+        exc = PathBudgetExceeded("path enumeration", 3, 5_000_000)
+        assert isinstance(exc, SearchBudgetExceeded) and exc.lower is None
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is PathBudgetExceeded and str(back) == str(exc)
 
 
 class TestRefinementMonotonicity:

@@ -1,6 +1,7 @@
 """File formats, run reports, and the ``pc`` command-line contract."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -122,6 +123,24 @@ class TestColoringJson:
         text = json.dumps({"k": 2, "edges": [[0, 1, 7]]})
         with pytest.raises((ParseError, ColoringError)):
             parse_coloring(text, g)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"k": 2, "edges": [[0, 1, 1], [1, 2, 1.5]]},
+            {"k": 2, "edges": [[0, 1, 1], [1, 2, True]]},
+            {"k": 2.5, "edges": [[0, 1, 1], [1, 2, 2]]},
+            {"k": True, "edges": [[0, 1, 1], [1, 2, 1]]},
+        ],
+    )
+    def test_non_integer_color_or_palette_rejected(self, tmp_path, capsys, obj):
+        g = corpus.path_graph(3)
+        text = json.dumps(obj)
+        with pytest.raises(ColoringError, match="integer"):
+            parse_coloring(text, g)
+        gpath = _graph_file(tmp_path, g)
+        assert main(["verify", gpath, _write(tmp_path, "c.json", text)]) == 2
+        assert "integer" in capsys.readouterr().err
 
 
 class TestRunReport:
@@ -256,6 +275,23 @@ class TestCliVerify:
         gpath = _graph_file(tmp_path, g)
         cpath = _write(tmp_path, "part.json", json.dumps({"k": 2, "edges": [[0, 1, 1]]}))
         assert main(["verify", gpath, cpath]) == 2
+
+    def test_path_step_cap_is_inconclusive(self, tmp_path, capsys):
+        # The path engine is exponential: on this graph a segment enumeration
+        # runs into its step cap. That is a budget outcome (exit 3), not a
+        # failed property (exit 1). A polynomial path oracle would turn this
+        # into a verdict, to be checked against a reference here.
+        rng = random.Random(0)
+        g = corpus.random_connected(60, 140, rng)
+        c = EdgeColoring.from_vector(g, 3, [rng.randint(1, 3) for _ in range(g.m)])
+        gpath = _graph_file(tmp_path, g)
+        cpath = _coloring_file(tmp_path, c)
+        assert main(["verify", gpath, cpath, "--json"]) == 3
+        out = capsys.readouterr()
+        assert "step cap" in out.err
+        result = json.loads(out.out)["result"]
+        assert result["inconclusive"] is True
+        assert "lower_bound" not in result
 
 
 class TestCliSample:
