@@ -16,7 +16,7 @@ omitted so identical runs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import random
+import functools
 import sys
 import time
 from typing import Optional
@@ -28,7 +28,7 @@ from .coloring import (
     is_proper_connected,
     has_strong_property,
 )
-from .solver import SearchBudgetExceeded, pc_exact, sample_refute
+from .solver import SearchBudgetExceeded, pc_exact, sample_refute, seeded_trials
 from .construct import (
     classify_diam3,
     color_2connected_3,
@@ -269,15 +269,6 @@ def _cmd_gen(args, report: RunReport) -> int:
     return EXIT_OK if structure.ok else EXIT_PROPERTY_FAILED
 
 
-def _refute_trial(g: Graph, spec: GadgetSpec, seed: int, trial: int):
-    rng = random.Random(f"{seed}:{trial}")
-    c = EdgeColoring.from_vector(g, 2, [rng.randint(1, 2) for _ in range(g.m)])
-    w = refute_2_coloring(g, spec, c)
-    if w is None:
-        return trial, None, None
-    return trial, list(w.pair), w.strategy
-
-
 def _cmd_refute(args, report: RunReport) -> int:
     g = _load_graph(report, args.graph, args.format)
     stext = _read_file(args.spec)
@@ -285,24 +276,14 @@ def _cmd_refute(args, report: RunReport) -> int:
     spec = GadgetSpec.from_json(stext)
     seed = args.seed if args.seed is not None else 0
     report.seed = seed
-    if args.jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.jobs) as pool:
-            rows = pool.starmap(
-                _refute_trial,
-                [(g, spec, seed, t) for t in range(args.trials)],
-                chunksize=max(1, args.trials // (args.jobs * 4)),
-            )
-    else:
-        rows = [_refute_trial(g, spec, seed, t) for t in range(args.trials)]
-    rows.sort(key=lambda r: r[0])
+    check = functools.partial(refute_2_coloring, g, spec)
+    found = seeded_trials(g, 2, args.trials, seed, check, args.jobs)
     witnesses = [
-        {"trial": t, "pair": pair, "strategy": strat}
-        for t, pair, strat in rows
-        if pair is not None
+        {"trial": t, "pair": list(w.pair), "strategy": w.strategy}
+        for t, (_c, w) in enumerate(found)
+        if w is not None
     ]
-    survivors = [t for t, pair, _ in rows if pair is None]
+    survivors = [t for t, (_c, w) in enumerate(found) if w is None]
     report.result = {
         "trials": args.trials,
         "defeated": len(witnesses),
@@ -335,13 +316,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="omit wall time so identical runs emit identical reports",
     )
     p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
-    p.add_argument(
-        "--budget-nodes",
-        type=int,
-        default=None,
-        help="search-node budget; exhausting it exits 3 (inconclusive)",
-    )
     p.add_argument("--report", metavar="FILE", help="also write the JSON report here")
 
 
@@ -360,6 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--strong", action="store_true", help="require the strong variant"
     )
     p.add_argument("-o", "--output", metavar="FILE", help="write witness coloring")
+    p.add_argument(
+        "--budget-nodes",
+        type=int,
+        default=None,
+        help="search-node budget; exhausting it exits 3 (inconclusive)",
+    )
     _add_common(p)
     p.set_defaults(run=_cmd_exact)
 
@@ -393,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True, help="palette size")
     p.add_argument("-t", "--trials", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1, help="worker count")
     _add_common(p)
     p.set_defaults(run=_cmd_sample)
 
@@ -409,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("spec", help="structural JSON emitted by gen")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1, help="worker count")
     _add_common(p)
     p.set_defaults(run=_cmd_refute)
 

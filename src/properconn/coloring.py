@@ -14,25 +14,24 @@ Every proper-walk question runs through one BFS, ``_walk_arrivals``, over
 uncolored edge that any color may follow, which is how the exact solver
 screens partial colorings with the same loop.
 
-Path existence runs on a per-graph decomposition: vertices are grouped into
-classes that no one- or two-edge cut separates, and every simple path then
-factors through the class quotient. Inside the (small) classes we enumerate
-segments exhaustively; across classes a profile DP chains achievable
-(first color, last color) pairs. Graphs where a multi-vertex class keeps three
-or more boundary edges fall back to a direct DFS. The path DFSs prune with
-walk reachability toward the target: a proper walk reversed is a proper walk,
-so one BFS *from* the target gives, per vertex, the colors a walk can arrive
-by, and a step into ``w`` by color ``col`` can still finish exactly when some
-arrival color at ``w`` differs from ``col``. Step caps end a search that runs
-too long with :class:`PathBudgetExceeded` (inconclusive). Certificates are
-always re-validated before being returned.
+Every path question -- one proper path, or the (first color, last color)
+profiles the strong check and the gadget analysis need -- runs through one
+depth-first search over simple paths, ``_path_profiles``. It prunes with walk
+reachability toward the target: a proper walk reversed is a proper walk, so
+one BFS *from* the target gives, per vertex, the colors a walk can arrive by,
+and a step into ``w`` by color ``col`` can still finish exactly when some
+arrival color at ``w`` differs from ``col``. The all-pairs checks search each
+pair from its larger end, so the sweep's BFS from the smaller end is that
+prune. A step cap ends a search that runs too long with
+:class:`PathBudgetExceeded` (inconclusive). Certificates are always
+re-validated before being returned.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graph import (
     Edge,
@@ -41,7 +40,6 @@ from .graph import (
     PreconditionError,
     SearchBudgetExceeded,
     _norm,
-    bridges,
     connected_components,
 )
 
@@ -208,7 +206,7 @@ def _incidence(g: Graph) -> Incidence:
 class _ColorView:
     """One (graph, coloring) pair as the searches read it."""
 
-    __slots__ = ("g", "c", "colors", "einc", "inc")
+    __slots__ = ("g", "c", "colors", "einc", "inc", "_arrivals")
 
     def __init__(self, g: Graph, c: EdgeColoring):
         self.g = g
@@ -217,6 +215,16 @@ class _ColorView:
         self.einc = einc = _incidence(g)
         # inc[v] = (neighbor, color) pairs in ascending neighbor order
         self.inc = [[(w, colors[i]) for w, i in row] for row in einc]
+        self._arrivals: dict[int, list[int]] = {}
+
+    def arrivals(self, t: int) -> list[int]:
+        """``_walk_arrivals`` from ``t`` over the whole graph, cached: the
+        prune of every path search that ends at ``t``."""
+        try:
+            return self._arrivals[t]
+        except KeyError:
+            arr = self._arrivals[t] = _walk_arrivals(self.einc, self.colors, t)
+            return arr
 
 
 # -- proper walks -------------------------------------------------------------
@@ -277,550 +285,73 @@ def proper_walk_exists(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
     return _walk_arrivals(_incidence(g), c.as_vector(g), u, v)[v] != 0
 
 
-# -- path engine ---------------------------------------------------------------
+# -- proper paths -------------------------------------------------------------
 
 
-def _three_ec_classes(g: Graph) -> list[int]:
-    """Class labels: two vertices share one iff no cut of at most two edges
-    separates them (and they share a component)."""
-    label = [0] * g.n
-    comps = connected_components(g)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            label[v] = i
+_STEP_CAP = 5_000_000
 
-    def refine(cut: tuple[Edge, ...]) -> None:
-        h = g.without_edges(cut)
-        sub = connected_components(h)
-        piece = [0] * g.n
-        for j, comp in enumerate(sub):
-            for v in comp:
-                piece[v] = j
-        remap: dict[tuple[int, int], int] = {}
-        for v in range(g.n):
-            key = (label[v], piece[v])
-            label[v] = remap.setdefault(key, len(remap))
-
-    one_cuts = bridges(g)
-    for e in one_cuts:
-        refine((e,))
-    for e in g.edges:
-        if e in one_cuts:
-            continue
-        for f in bridges(g.without_edges([e])):
-            refine((e, f))
-    # canonical labels: ascending by least vertex
-    remap2: dict[int, int] = {}
-    for v in range(g.n):
-        label[v] = remap2.setdefault(label[v], len(remap2))
-    return label
+Profiles = dict[tuple[int, int], tuple[int, ...]]
 
 
-@dataclass
-class _Route:
-    """Alternating class/edge sequence: classes[i] --edges[i]--> classes[i+1].
+def _path_profiles(
+    view: _ColorView,
+    s: int,
+    t: int,
+    arr: Sequence[int],
+    stop: Callable[[Profiles], object],
+) -> Profiles:
+    """(first color, last color) -> one witness path, over proper s->t paths.
 
-    Each edge is oriented (exit vertex in classes[i], entry vertex in
-    classes[i+1]).
+    A depth-first search over simple paths from ``s``. ``arr`` is
+    ``_walk_arrivals`` run from ``t``: a proper walk reversed is a proper walk,
+    so a step into ``w`` by color ``col`` can still finish exactly when some
+    walk from ``t`` arrives at ``w`` by another color, ``arr[w] & ~(1 << col)``;
+    every other step is pruned. The search ends once ``stop(out)`` is true
+    (``bool`` stops at the first path) or every path is tried, and raises
+    :class:`PathBudgetExceeded` after ``_STEP_CAP`` steps.
     """
-
-    classes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-_PROFILE_STEP_CAP = 5_000_000
-
-
-class _PathEngine:
-    """Per-graph machinery for proper path queries; cached on the graph."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.class_of = _three_ec_classes(g)
-        nclasses = max(self.class_of) + 1 if g.n else 0
-        members: list[list[int]] = [[] for _ in range(nclasses)]
-        for v in range(g.n):
-            members[self.class_of[v]].append(v)
-        self.members = [tuple(sorted(ms)) for ms in members]
-        # oriented quotient adjacency: class -> [(edge (x,y), other_class)]
-        self.qadj: list[list[tuple[tuple[int, int], int]]] = [
-            [] for _ in range(nclasses)
-        ]
-        ports = [0] * nclasses
-        for u, v in g.edges:
-            cu, cv = self.class_of[u], self.class_of[v]
-            if cu != cv:
-                self.qadj[cu].append(((u, v), cv))
-                self.qadj[cv].append(((v, u), cu))
-                ports[cu] += 1
-                ports[cv] += 1
-        for lst in self.qadj:
-            lst.sort()
-        self.simple = any(
-            len(self.members[ci]) > 1 and ports[ci] > 2 for ci in range(nclasses)
-        )
-        self.member_set = [frozenset(ms) for ms in self.members]
-        # the incidence minus the edges between classes: a walk search over
-        # it stays inside the class it starts in
-        cls = self.class_of
-        self.class_inc: Incidence = tuple(
-            tuple((w, i) for w, i in row if cls[w] == cls[v])
-            for v, row in enumerate(_incidence(g))
-        )
-        self._routes: dict[tuple[int, int], list[_Route]] = {}
-        self._loops: dict[int, list[_Route]] = {}
-
-    # -- route enumeration (color independent, cached) -----------------------
-
-    def routes(self, ca: int, cb: int) -> list[_Route]:
-        key = (ca, cb)
-        if key in self._routes:
-            return self._routes[key]
-        out: list[_Route] = []
-
-        def dfs(cls: int, cpath: list[int], epath: list[tuple[int, int]]):
-            if cls == cb:
-                out.append(_Route(tuple(cpath), tuple(epath)))
-                return
-            for edge, nxt in self.qadj[cls]:
-                if nxt not in cpath:
-                    cpath.append(nxt)
-                    epath.append(edge)
-                    dfs(nxt, cpath, epath)
-                    cpath.pop()
-                    epath.pop()
-
-        dfs(ca, [ca], [])
-        self._routes[key] = out
+    out: Profiles = {}
+    if not arr[s]:
         return out
+    inc = view.inc
+    onpath = [False] * len(inc)
+    onpath[s] = True
+    path = [s]
+    steps = 0
 
-    def loop_routes(self, ca: int) -> list[_Route]:
-        """Routes leaving class ``ca`` and returning to it (distinct interior
-        classes, at least one)."""
-        if ca in self._loops:
-            return self._loops[ca]
-        out: list[_Route] = []
-
-        def dfs(cls: int, cpath: list[int], epath: list[tuple[int, int]]):
-            for edge, nxt in self.qadj[cls]:
-                if nxt == ca and len(cpath) >= 2 and edge != epath[0]:
-                    out.append(_Route(tuple(cpath + [ca]), tuple(epath + [edge])))
-                elif nxt != ca and nxt not in cpath:
-                    cpath.append(nxt)
-                    epath.append(edge)
-                    dfs(nxt, cpath, epath)
-                    cpath.pop()
-                    epath.pop()
-
-        dfs(ca, [ca], [])
-        self._loops[ca] = out
-        return out
-
-    # -- segment search -------------------------------------------------------
-
-    def _arrivals_from(
-        self, view: _ColorView, target: int, whole: bool, memo: dict
-    ) -> list[int]:
-        """Arrival masks of proper walks from ``target``, over the whole graph
-        or inside its class; cached per check. Reversed, ``arr[w]`` has a bit
-        other than ``col`` exactly when a proper walk entered at ``w`` by an
-        edge of color ``col`` can go on to reach ``target``."""
-        key = ("arrivals", target, whole)
-        try:
-            return memo[key]
-        except KeyError:
-            inc = view.einc if whole else self.class_inc
-            arr = memo[key] = _walk_arrivals(inc, view.colors, target)
-            return arr
-
-    def _segment_profiles(
-        self,
-        view: _ColorView,
-        allowed: frozenset[int],
-        x: int,
-        y: int,
-        memo: dict,
-    ) -> dict[tuple[int, int], tuple[int, ...]]:
-        """All (first color, last color) pairs of proper x->y paths inside
-        ``allowed``, each with one witness path."""
-        key = (allowed, x, y)
-        if key in memo:
-            return memo[key]
-        out: dict[tuple[int, int], tuple[int, ...]] = {}
-        # Once every (first, last) pair the endpoints' edges allow is found,
-        # later paths only repeat profiles.
-        firsts = {col for w, col in view.inc[x] if w == y or w in allowed}
-        lasts = {col for w, col in view.inc[y] if w == x or w in allowed}
-        every = len(firsts) * len(lasts)
-        steps = 0
-
-        def dfs(
-            v: int, first: int, last: int, path: list[int], onpath: set[int]
-        ) -> bool:
-            """True once ``out`` holds every possible profile."""
-            nonlocal steps
-            steps += 1
-            if steps > _PROFILE_STEP_CAP:
-                raise PathBudgetExceeded(
-                    "segment profile enumeration", view.c.k, _PROFILE_STEP_CAP
-                )
-            for w, col in view.inc[v]:
-                if w == y:
-                    if col != last:
-                        prof = (first if first else col, col)
-                        if prof not in out:
-                            out[prof] = tuple(path + [y])
-                            if len(out) == every:
-                                return True
-                    continue
-                if w in allowed and w not in onpath and col != last:
-                    path.append(w)
-                    onpath.add(w)
-                    if dfs(w, first if first else col, col, path, onpath):
+    def dfs(x: int, first: int, last: int) -> bool:
+        """True once ``stop`` ends the search."""
+        nonlocal steps
+        steps += 1
+        if steps > _STEP_CAP:
+            raise PathBudgetExceeded("path search", view.c.k, _STEP_CAP)
+        for w, col in inc[x]:
+            if col == last:
+                continue
+            if w == t:
+                prof = (first or col, col)
+                if prof not in out:
+                    out[prof] = (*path, t)
+                    if stop(out):
                         return True
-                    onpath.discard(w)
-                    path.pop()
-            return False
-
-        dfs(x, 0, 0, [x], {x})
-        memo[key] = out
-        return out
-
-    def _segment_exists(
-        self, view: _ColorView, x: int, y: int, memo: dict
-    ) -> Optional[tuple[int, ...]]:
-        """One proper x->y path inside the endpoints' class (walk-pruned
-        DFS)."""
-        if x == y:
-            raise InternalError("segment endpoints coincide")
-        arr = self._arrivals_from(view, y, False, memo)
-        if not arr[x]:
-            return None
-
-        def dfs(v: int, last: int, path: list[int], onpath: set[int]):
-            for w, col in view.inc[v]:
-                if col == last:
-                    continue
-                if w == y:
-                    return path + [y]
-                # arr is 0 outside the class
-                if w not in onpath and arr[w] & ~(1 << col):
-                    path.append(w)
-                    onpath.add(w)
-                    got = dfs(w, col, path, onpath)
-                    if got:
-                        return got
-                    onpath.discard(w)
-                    path.pop()
-            return None
-
-        return dfs(x, 0, [x], {x})
-
-    # -- public queries --------------------------------------------------------
-
-    def pair_profiles(
-        self,
-        view: _ColorView,
-        u: int,
-        v: int,
-        memo: dict,
-        need_all: bool = True,
-        stop_when=None,
-    ) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Achievable (start color, end color) profiles with witness paths for
-        proper u->v paths. With ``need_all=False`` stops at the first profile;
-        ``stop_when(profile_dict)`` may end enumeration early."""
-        g = self.g
-        out: dict[tuple[int, int], tuple[int, ...]] = {}
-
-        def add(prof: tuple[int, int], path: tuple[int, ...]) -> bool:
-            """Record a profile; True means enumeration may stop."""
-            if prof not in out:
-                out[prof] = path
-                if not need_all:
+            elif not onpath[w] and arr[w] & ~(1 << col):
+                onpath[w] = True
+                path.append(w)
+                if dfs(w, first or col, col):
                     return True
-                if stop_when is not None and stop_when(out):
-                    return True
-            return False
-
-        def quotient_phase() -> bool:
-            """Routes through the class quotient; True = goal met early."""
-            cu, cv = self.class_of[u], self.class_of[v]
-            if cu == cv:
-                allowed = self.member_set[cu]
-                if need_all:
-                    for prof, path in self._segment_profiles(
-                        view, allowed, u, v, memo
-                    ).items():
-                        if add(prof, path):
-                            return True
-                else:
-                    path = self._segment_exists(view, u, v, memo)
-                    if path is not None:
-                        prof = (
-                            view.c.color(path[0], path[1]),
-                            view.c.color(path[-2], path[-1]),
-                        )
-                        if add(prof, tuple(path)):
-                            return True
-                for route in self.loop_routes(cu):
-                    if self._run_loop_route(view, route, u, v, memo, add):
-                        return True
-                return False
-            for route in self.routes(cu, cv):
-                if self._run_route(view, route, u, v, memo, add):
-                    return True
-            return False
-
-        # The quotient model only sees paths covering each class contiguously.
-        # That is every path unless some multi-vertex class has more than two
-        # boundary edges; then the model stays sound for what it finds, and a
-        # full enumeration settles anything it could not.
-        if quotient_phase() or not self.simple:
-            return out
-        self._simple_profiles(view, u, v, memo, add)
-        return out
-
-    def path_exists(
-        self, view: _ColorView, u: int, v: int, memo: dict
-    ) -> Optional[tuple[int, ...]]:
-        profs = self.pair_profiles(view, u, v, memo, need_all=False)
-        if not profs:
-            return None
-        return next(iter(profs.values()))
-
-    # -- route DP ---------------------------------------------------------------
-
-    def _run_route(self, view, route: _Route, u: int, v: int, memo, add) -> bool:
-        """DP over one route; feeds found profiles to ``add``; True = stop."""
-        classes, edges = route.classes, route.edges
-        # states: (start_color, last_color) -> path built so far (tuple)
-        x1 = edges[0][0]
-        if u == x1:
-            states = {(0, 0): (u,)}
-        else:
-            states = {
-                prof: path
-                for prof, path in self._segment_profiles(
-                    view, self.member_set[classes[0]], u, x1, memo
-                ).items()
-            }
-        for i, (x, y) in enumerate(edges):
-            col = view.c.color(x, y)
-            nstates: dict[tuple[int, int], tuple[int, ...]] = {}
-            for (s, last), path in states.items():
-                if last and last == col:
-                    continue
-                key = (s if s else col, col)
-                if key not in nstates:
-                    nstates[key] = path + (y,)
-            states = nstates
-            if not states:
-                return False
-            # segment inside classes[i+1]: from y to next exit (or to v)
-            ci = classes[i + 1]
-            nxt_exit = edges[i + 1][0] if i + 1 < len(edges) else v
-            if y == nxt_exit:
-                continue
-            segs = self._segment_profiles(
-                view, self.member_set[ci], y, nxt_exit, memo
-            )
-            nstates = {}
-            for (s, last), path in states.items():
-                for (sig, eps), seg in segs.items():
-                    if sig == last:
-                        continue
-                    key = (s, eps)
-                    if key not in nstates:
-                        nstates[key] = path + seg[1:]
-            states = nstates
-            if not states:
-                return False
-        for prof, path in states.items():
-            if add(prof, path):
-                return True
+                path.pop()
+                onpath[w] = False
         return False
 
-    def _run_loop_route(self, view, route: _Route, u: int, v: int, memo, add) -> bool:
-        """Out-and-back route for a same-class pair: the first and last
-        segments live in the same class and must be vertex-disjoint."""
-        classes, edges = route.classes, route.edges
-        ca = classes[0]
-        allowed = self.member_set[ca]
-        x1 = edges[0][0]
-        yk = edges[-1][1]
-        first_paths: list[tuple[int, ...]]
-        if u == x1:
-            first_paths = [(u,)]
-        else:
-            first_paths = self._enumerate_segments(view, allowed, u, x1)
-        for fpath in first_paths:
-            if v in fpath or (yk != v and yk in fpath):
-                continue
-            fset = frozenset(fpath)
-            if u == x1:
-                states = {(0, 0): (u,)}
-            else:
-                states = {
-                    (
-                        view.c.color(fpath[0], fpath[1]),
-                        view.c.color(fpath[-2], fpath[-1]),
-                    ): fpath
-                }
-            stop = self._run_loop_tail(
-                view, classes, edges, states, allowed - fset, v, yk, memo, add
-            )
-            if stop:
-                return True
-        return False
-
-    def _run_loop_tail(
-        self, view, classes, edges, states, final_allowed, v, yk, memo, add
-    ) -> bool:
-        for i, (x, y) in enumerate(edges):
-            col = view.c.color(x, y)
-            nstates: dict[tuple[int, int], tuple[int, ...]] = {}
-            for (s, last), path in states.items():
-                if last and last == col:
-                    continue
-                key = (s if s else col, col)
-                if key not in nstates:
-                    nstates[key] = path + (y,)
-            states = nstates
-            if not states:
-                return False
-            if i + 1 == len(edges):
-                break
-            ci = classes[i + 1]
-            nxt_exit = edges[i + 1][0]
-            if y == nxt_exit:
-                continue
-            segs = self._segment_profiles(
-                view, self.member_set[ci], y, nxt_exit, memo
-            )
-            nstates = {}
-            for (s, last), path in states.items():
-                for (sig, eps), seg in segs.items():
-                    if sig == last:
-                        continue
-                    key = (s, eps)
-                    if key not in nstates:
-                        nstates[key] = path + seg[1:]
-            states = nstates
-            if not states:
-                return False
-        # final segment: yk -> v inside the start class, avoiding the first leg
-        if yk == v:
-            for prof, path in states.items():
-                if add(prof, path):
-                    return True
-            return False
-        for (s, last), path in states.items():
-            tail = self._segment_exists_multi(view, final_allowed, yk, v, last)
-            for eps, seg in tail.items():
-                if add((s, eps), path + seg[1:]):
-                    return True
-        return False
-
-    def _segment_exists_multi(
-        self, view, allowed: frozenset[int], x: int, y: int, banned_first: int
-    ) -> dict[int, tuple[int, ...]]:
-        """Last colors of proper x->y paths inside ``allowed`` whose first edge
-        avoids ``banned_first``; one witness per last color."""
-        out: dict[int, tuple[int, ...]] = {}
-
-        def dfs(v: int, first: int, last: int, path: list[int], onpath: set[int]):
-            for w, col in view.inc[v]:
-                if first == 0 and col == banned_first:
-                    continue
-                if col == last:
-                    continue
-                if w == y:
-                    if col not in out:
-                        out[col] = tuple(path + [y])
-                    continue
-                if w in allowed and w not in onpath:
-                    path.append(w)
-                    onpath.add(w)
-                    dfs(w, first if first else col, col, path, onpath)
-                    onpath.discard(w)
-                    path.pop()
-
-        if x == y:
-            raise InternalError("loop tail endpoints coincide")
-        dfs(x, 0, banned_first, [x], {x})
-        return out
-
-    def _enumerate_segments(
-        self, view, allowed: frozenset[int], x: int, y: int, cap: int = 100_000
-    ) -> list[tuple[int, ...]]:
-        """All proper x->y paths inside ``allowed`` (for disjointness splits)."""
-        out: list[tuple[int, ...]] = []
-
-        def dfs(v: int, last: int, path: list[int], onpath: set[int]):
-            if len(out) >= cap:
-                raise PathBudgetExceeded("segment enumeration", view.c.k, cap)
-            for w, col in view.inc[v]:
-                if col == last:
-                    continue
-                if w == y:
-                    out.append(tuple(path + [y]))
-                    continue
-                if w in allowed and w not in onpath:
-                    path.append(w)
-                    onpath.add(w)
-                    dfs(w, col, path, onpath)
-                    onpath.discard(w)
-                    path.pop()
-
-        dfs(x, 0, [x], {x})
-        return out
-
-    # -- fallback: direct DFS over the whole graph ------------------------------
-
-    def _simple_profiles(self, view, u: int, v: int, memo, add) -> None:
-        arr = self._arrivals_from(view, v, True, memo)
-        if not arr[u]:
-            return
-        steps = 0
-        stop = False
-
-        def dfs(x: int, first: int, last: int, path: list[int], onpath: set[int]):
-            nonlocal steps, stop
-            if stop:
-                return
-            steps += 1
-            if steps > _PROFILE_STEP_CAP:
-                raise PathBudgetExceeded(
-                    "path enumeration", view.c.k, _PROFILE_STEP_CAP
-                )
-            for w, col in view.inc[x]:
-                if col == last:
-                    continue
-                if w == v:
-                    if add((first if first else col, col), tuple(path + [v])):
-                        stop = True
-                        return
-                    continue
-                if w not in onpath and arr[w] & ~(1 << col):
-                    path.append(w)
-                    onpath.add(w)
-                    dfs(w, first if first else col, col, path, onpath)
-                    onpath.discard(w)
-                    path.pop()
-                    if stop:
-                        return
-
-        dfs(u, 0, 0, [u], {u})
+    dfs(s, 0, 0)
+    return out
 
 
-def _engine(g: Graph) -> _PathEngine:
-    try:
-        return g._cache["path_engine"]
-    except KeyError:
-        eng = _PathEngine(g)
-        g._cache["path_engine"] = eng
-        return eng
+def _one_path(
+    view: _ColorView, s: int, t: int, arr: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """One proper s->t path, or None; ``arr`` as in :func:`_path_profiles`."""
+    return next(iter(_path_profiles(view, s, t, arr, bool).values()), None)
 
 
 # -- public checks -------------------------------------------------------------
@@ -834,7 +365,7 @@ def proper_path_exists(
         raise PreconditionError("path query needs distinct endpoints")
     c.validate(g)
     view = _ColorView(g, c)
-    path = _engine(g).path_exists(view, u, v, memo={})
+    path = _one_path(view, u, v, view.arrivals(v))
     if path is None:
         return None
     return certificate_from_path(g, c, path)
@@ -854,23 +385,24 @@ def is_proper_connected(
         return True, None
     if len(connected_components(g)) != 1:
         raise PreconditionError("proper connectivity is defined on connected graphs")
-    pair = _first_unconnected_pair(_ColorView(g, c), {})
+    pair = _first_unconnected_pair(_ColorView(g, c))
     return pair is None, pair
 
 
-def _first_unconnected_pair(view: _ColorView, memo: dict) -> Optional[tuple[int, int]]:
+def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
     """The lexicographically first pair without a proper path, or None."""
-    eng = _engine(view.g)
     n = view.g.n
     for u in range(n):
-        reach = _walk_arrivals(view.einc, view.colors, u)
+        arr = _walk_arrivals(view.einc, view.colors, u)
         for v in range(u + 1, n):
-            if not reach[v] or eng.path_exists(view, u, v, memo) is None:
+            # A reversed proper path is a proper path: search v -> u, which
+            # prunes with this one walk sweep from u.
+            if _one_path(view, v, u, arr) is None:
                 return u, v
     return None
 
 
-def _compatible(profs: dict) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+def _compatible(profs: Profiles) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
     for p1, p2 in itertools.combinations(profs, 2):
         if p1[0] != p2[0] and p1[1] != p2[1]:
             return p1, p2
@@ -891,20 +423,24 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     if g.n >= 2 and len(connected_components(g)) != 1:
         raise PreconditionError("the strong property is defined on connected graphs")
     view = _ColorView(g, c)
-    eng = _engine(g)
-    memo: dict = {}
+    # distinct colors at each vertex: a pair has at most ends[u] * ends[v]
+    # profiles, so a search that found them all can stop
+    ends = [len({col for _, col in row}) for row in view.inc]
     witnesses: dict[tuple[int, int], StrongWitness] = {}
     for u in range(g.n):
+        arr = _walk_arrivals(view.einc, view.colors, u)
         for v in range(u + 1, g.n):
-            profs = eng.pair_profiles(
-                view, u, v, memo, need_all=True, stop_when=_compatible
+            every = ends[u] * ends[v]
+            # v -> u paths, as in _first_unconnected_pair; reversed below so
+            # that the certificates run u -> v
+            profs = _path_profiles(
+                view, v, u, arr, lambda out: len(out) == every or _compatible(out)
             )
             pair = _compatible(profs)
             if pair is None:
                 return StrongCheck(False, witnesses, (u, v))
-            w = StrongWitness(
-                certificate_from_path(g, c, profs[pair[0]]),
-                certificate_from_path(g, c, profs[pair[1]]),
+            witnesses[(u, v)] = StrongWitness(
+                certificate_from_path(g, c, profs[pair[0]][::-1]),
+                certificate_from_path(g, c, profs[pair[1]][::-1]),
             )
-            witnesses[(u, v)] = w
     return StrongCheck(True, witnesses)

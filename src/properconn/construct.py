@@ -50,7 +50,6 @@ from .graph import (
 )
 from .coloring import (
     EdgeColoring,
-    _three_ec_classes,
     has_strong_property,
     is_proper_connected,
 )
@@ -253,6 +252,42 @@ def color_3ec(g: Graph) -> EdgeColoring:
 
 
 # -- 2-connected: three colors always suffice ------------------------------------
+
+
+def _three_ec_classes(g: Graph) -> list[int]:
+    """Class labels: two vertices share one iff no cut of at most two edges
+    separates them (and they share a component)."""
+    label = [0] * g.n
+    comps = connected_components(g)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            label[v] = i
+
+    def refine(cut: tuple[Edge, ...]) -> None:
+        h = g.without_edges(cut)
+        sub = connected_components(h)
+        piece = [0] * g.n
+        for j, comp in enumerate(sub):
+            for v in comp:
+                piece[v] = j
+        remap: dict[tuple[int, int], int] = {}
+        for v in range(g.n):
+            key = (label[v], piece[v])
+            label[v] = remap.setdefault(key, len(remap))
+
+    one_cuts = bridges(g)
+    for e in one_cuts:
+        refine((e,))
+    for e in g.edges:
+        if e in one_cuts:
+            continue
+        for f in bridges(g.without_edges([e])):
+            refine((e, f))
+    # canonical labels: ascending by least vertex
+    remap2: dict[int, int] = {}
+    for v in range(g.n):
+        label[v] = remap2.setdefault(label[v], len(remap2))
+    return label
 
 
 def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:

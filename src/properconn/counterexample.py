@@ -45,8 +45,9 @@ from .graph import (
 from .coloring import (
     EdgeColoring,
     _ColorView,
-    _engine,
     _first_unconnected_pair,
+    _one_path,
+    _path_profiles,
     _walk_arrivals,
 )
 
@@ -518,15 +519,7 @@ def _region_graph(g: Graph, spec: GadgetSpec, pair_index: int):
         return g._cache[key]
 
 
-def _escapes(
-    sub: Graph,
-    subc: EdgeColoring,
-    view: _ColorView,
-    memo: dict,
-    v_loc: int,
-    conn_loc: int,
-    link_color: int,
-) -> bool:
+def _escapes(view: _ColorView, v_loc: int, conn_loc: int, link_color: int) -> bool:
     """Can ``v`` leave the region through the link at this connector?
 
     Either v is the connector itself, or some proper path from v to the
@@ -534,16 +527,13 @@ def _escapes(
     """
     if v_loc == conn_loc:
         return True
-    eng = _engine(sub)
-    profs = eng.pair_profiles(
-        view,
-        v_loc,
-        conn_loc,
-        memo,
-        need_all=True,
-        stop_when=lambda d: any(e != link_color for _, e in d),
+
+    def escaped(profs) -> bool:
+        return any(e != link_color for _, e in profs)
+
+    return escaped(
+        _path_profiles(view, v_loc, conn_loc, view.arrivals(conn_loc), escaped)
     )
-    return any(e != link_color for _, e in profs)
 
 
 def find_one_way_vertex(
@@ -568,12 +558,11 @@ def find_one_way_vertex(
         },
     )
     view = _ColorView(sub, subc)
-    memo: dict = {}
     col_start = c.color(*exit_start)
     col_end = c.color(*exit_end)
     for v in p.region():
-        esc_s = _escapes(sub, subc, view, memo, loc[v], loc[p.start], col_start)
-        esc_e = _escapes(sub, subc, view, memo, loc[v], loc[p.end], col_end)
+        esc_s = _escapes(view, loc[v], loc[p.start], col_start)
+        esc_e = _escapes(view, loc[v], loc[p.end], col_end)
         if esc_s and esc_e:
             continue
         exit_edge = exit_start if esc_s else exit_end if esc_e else None
@@ -608,12 +597,11 @@ def refute_2_coloring(
     loudly.
     """
     c.validate(g)
-    # One view and one memo serve the walk sweep and every path query below.
+    # One view serves the walk sweep and every path query below.
     view = _ColorView(g, c)
-    memo: dict = {}
 
     def dead(u: int, v: int) -> bool:
-        return _engine(g).path_exists(view, u, v, memo) is None
+        return _one_path(view, u, v, view.arrivals(v)) is None
 
     # (i) walk filter sweep
     for u in range(g.n):
@@ -650,7 +638,7 @@ def refute_2_coloring(
         if dead(u, v):
             return RefutationWitness((u, v), "one-way", one_way, verified=True)
     # (iii) exhaustive
-    pair = _first_unconnected_pair(view, memo)
+    pair = _first_unconnected_pair(view)
     if pair is not None:
         return RefutationWitness(pair, "exhaustive", one_way, verified=True)
     return None

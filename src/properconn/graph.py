@@ -58,8 +58,9 @@ class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     Edges are stored sorted as ``(min, max)`` pairs; ``adj[v]`` is a sorted
-    tuple of neighbors. Instances are hashable and carry a private cache used
-    by the path engine (safe because the structure never mutates).
+    tuple of neighbors. Instances are hashable and carry a private cache of
+    derived structure, such as the edge index and the incidence the coloring
+    checks read (safe because the structure never mutates).
     """
 
     __slots__ = ("n", "edges", "adj", "_cache")

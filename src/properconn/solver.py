@@ -14,6 +14,8 @@ returns verified failure witnesses.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -259,11 +261,31 @@ class SampleRefutation:
         return not self.successes
 
 
-def _run_trial(g: Graph, k: int, seed: int, trial: int):
+def _seeded_trial(g: Graph, k: int, seed: int, trial: int, check: Callable):
     rng = random.Random(f"{seed}:{trial}")
     c = EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
-    ok, pair = is_proper_connected(g, c)
-    return c, ok, pair
+    return c, check(c)
+
+
+def seeded_trials(
+    g: Graph, k: int, trials: int, seed: int, check: Callable, jobs: int = 1
+) -> list[tuple[EdgeColoring, object]]:
+    """``(c, check(c))`` for one random k-coloring ``c`` per trial, in trial
+    order.
+
+    Trial t draws its colors from ``random.Random(f"{seed}:{t}")``, so the
+    results do not depend on ``jobs`` (worker processes) or scheduling; with
+    ``jobs > 1``, ``g`` and ``check`` must pickle.
+    """
+    args = [(g, k, seed, t, check) for t in range(trials)]
+    if jobs <= 1:
+        return list(itertools.starmap(_seeded_trial, args))
+    import multiprocessing as mp
+
+    with mp.get_context("spawn").Pool(jobs) as pool:
+        return pool.starmap(
+            _seeded_trial, args, chunksize=max(1, trials // (jobs * 4))
+        )
 
 
 def sample_refute(
@@ -278,24 +300,12 @@ def sample_refute(
     """
     if k < 1:
         raise PreconditionError("sampling needs a palette of at least one color")
-    results: list[tuple[int, EdgeColoring, bool, Optional[tuple[int, int]]]] = []
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            payload = pool.starmap(
-                _run_trial,
-                [(g, k, seed, t) for t in range(trials)],
-                chunksize=max(1, trials // (jobs * 4)),
-            )
-        results = [(t, c, ok, pair) for t, (c, ok, pair) in enumerate(payload)]
-    else:
-        for t in range(trials):
-            c, ok, pair = _run_trial(g, k, seed, t)
-            results.append((t, c, ok, pair))
+    results = seeded_trials(
+        g, k, trials, seed, functools.partial(is_proper_connected, g), jobs
+    )
     failures: list[RefutationSample] = []
     successes: list[tuple[int, EdgeColoring]] = []
-    for t, c, ok, pair in results:
+    for t, (c, (ok, pair)) in enumerate(results):
         if ok:
             successes.append((t, c))
             continue

@@ -24,7 +24,6 @@ from properconn import (
     proper_walk_exists,
     proper_walk_reach,
 )
-from properconn.coloring import _engine
 
 import oracles
 
@@ -257,8 +256,10 @@ class TestHasStrongProperty:
         assert set(chk.witnesses) == {
             (u, v) for u in range(4) for v in range(u + 1, 4)
         }
-        for w in chk.witnesses.values():
+        for (u, v), w in chk.witnesses.items():
             w.validate(g, c)
+            for cert in (w.p1, w.p2):
+                assert (cert.path[0], cert.path[-1]) == (u, v)
 
     def test_trees_always_fail(self):
         rng = random.Random(5)
@@ -291,9 +292,11 @@ class TestHasStrongProperty:
             c = EdgeColoring.from_vector(g, 2, [rng.randint(1, 2) for _ in range(g.m)])
             chk = has_strong_property(g, c)
             assert chk.ok == oracles.brute_strong(g, c)
-            if chk.ok:
-                for w in chk.witnesses.values():
-                    w.validate(g, c)
+            # witnesses cover the pairs before a failing one, too
+            for (u, v), w in chk.witnesses.items():
+                w.validate(g, c)
+                for cert in (w.p1, w.p2):
+                    assert (cert.path[0], cert.path[-1]) == (u, v)
 
 
 def _random_colored(rng, n, m, k):
@@ -314,10 +317,9 @@ class TestSharedWalkSearch:
                 assert proper_walk_reach(g, c, s) == oracles.brute_walk_reach(g, c, s)
 
     def test_path_queries_match_brute_force_on_both_engine_kinds(self):
-        # Sparse graphs mostly give engines on the direct-DFS fallback
-        # (``simple``: a multi-vertex class with three or more boundary
-        # edges); dense ones and rings of K4s keep multi-vertex classes on
-        # the quotient model. Both prune with walks reversed from the target.
+        # Sparse and dense random graphs and rings of K4s (3-edge-connected
+        # blocks joined by 2-edge cuts); the path search prunes with walks
+        # reversed from the target.
         rng = random.Random(31)
         graphs = []
         for _ in range(14):
@@ -335,17 +337,12 @@ class TestSharedWalkSearch:
             graphs.append(
                 (ring, EdgeColoring.from_vector(ring, k, [rng.randint(1, k) for _ in ring.edges]))
             )
-        kinds = {True: 0, False: 0}
         for g, c in graphs:
-            eng = _engine(g)
-            if any(len(ms) > 1 for ms in eng.members):
-                kinds[eng.simple] += 1
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     got = proper_path_exists(g, c, u, v) is not None
                     assert got == oracles.brute_has_proper_path(g, c, u, v)
             assert has_strong_property(g, c).ok == oracles.brute_strong(g, c)
-        assert kinds[True] >= 5 and kinds[False] >= 5
 
 
 class TestPathBudget:

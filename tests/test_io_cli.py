@@ -1,12 +1,15 @@
 """File formats, run reports, and the ``pc`` command-line contract."""
 
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
+import properconn
 from properconn import (
     ColoringError,
     EdgeColoring,
@@ -276,9 +279,19 @@ class TestCliVerify:
         cpath = _write(tmp_path, "part.json", json.dumps({"k": 2, "edges": [[0, 1, 1]]}))
         assert main(["verify", gpath, cpath]) == 2
 
+    @pytest.mark.parametrize("opt", (["--jobs", "4"], ["--budget-nodes", "1"]))
+    def test_options_it_does_not_read_are_rejected(self, tmp_path, capsys, opt):
+        g = corpus.cycle(4)
+        gpath = _graph_file(tmp_path, g)
+        cpath = _coloring_file(tmp_path, EdgeColoring.from_vector(g, 2, (1, 2, 1, 2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", gpath, cpath, *opt])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_path_step_cap_is_inconclusive(self, tmp_path, capsys):
-        # The path engine is exponential: on this graph a segment enumeration
-        # runs into its step cap. That is a budget outcome (exit 3), not a
+        # The path search is exponential: on this graph it runs into its
+        # step cap. That is a budget outcome (exit 3), not a
         # failed property (exit 1). A polynomial path oracle would turn this
         # into a verdict, to be checked against a reference here.
         rng = random.Random(0)
@@ -400,10 +413,15 @@ class TestDeterminism:
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         gpath = _graph_file(tmp_path, corpus.complete(4))
+        # the child imports the same package as this process, installed or not
+        src = str(pathlib.Path(properconn.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "properconn.cli", "exact", gpath, "--json"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["value"] == 1
