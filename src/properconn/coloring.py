@@ -22,7 +22,14 @@ one BFS *from* the target gives, per vertex, the colors a walk can arrive by,
 and a step into ``w`` by color ``col`` can still finish exactly when some
 arrival color at ``w`` differs from ``col``. The all-pairs checks search each
 pair from its larger end, so the sweep's BFS from the smaller end is that
-prune. A step cap ends a search that runs too long with
+prune.
+
+The single-path queries (``proper_path_exists``, ``is_proper_connected`` and,
+through ``_one_path``, the refutation's dead-pair checks) give the DFS a small
+step budget and hand whatever it leaves open to a polynomial fallback:
+Edmonds' blossom search on Szeider's gadget graph, where a proper s-t path is
+an augmenting path. So they always settle. Only the profile searches (the
+strong check, the gadget analysis) still end at a step cap with
 :class:`PathBudgetExceeded` (inconclusive). Certificates are always
 re-validated before being returned.
 """
@@ -206,7 +213,7 @@ def _incidence(g: Graph) -> Incidence:
 class _ColorView:
     """One (graph, coloring) pair as the searches read it."""
 
-    __slots__ = ("g", "c", "colors", "einc", "inc", "_arrivals")
+    __slots__ = ("g", "c", "colors", "einc", "inc", "_arrivals", "_gadget")
 
     def __init__(self, g: Graph, c: EdgeColoring):
         self.g = g
@@ -216,6 +223,7 @@ class _ColorView:
         # inc[v] = (neighbor, color) pairs in ascending neighbor order
         self.inc = [[(w, colors[i]) for w, i in row] for row in einc]
         self._arrivals: dict[int, list[int]] = {}
+        self._gadget: Optional[_Gadget] = None
 
     def arrivals(self, t: int) -> list[int]:
         """``_walk_arrivals`` from ``t`` over the whole graph, cached: the
@@ -225,6 +233,12 @@ class _ColorView:
         except KeyError:
             arr = self._arrivals[t] = _walk_arrivals(self.einc, self.colors, t)
             return arr
+
+    def gadget(self) -> "_Gadget":
+        """Szeider's gadget graph of this view, built on first use."""
+        if self._gadget is None:
+            self._gadget = _Gadget(self)
+        return self._gadget
 
 
 # -- proper walks -------------------------------------------------------------
@@ -289,6 +303,9 @@ def proper_walk_exists(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
 
 
 _STEP_CAP = 5_000_000
+# The DFS settles nearly every single-path query within this many steps; a
+# query that needs more goes to the matching below, which is polynomial.
+_DFS_BUDGET = 2_000
 
 Profiles = dict[tuple[int, int], tuple[int, ...]]
 
@@ -299,6 +316,7 @@ def _path_profiles(
     t: int,
     arr: Sequence[int],
     stop: Callable[[Profiles], object],
+    cap: int = _STEP_CAP,
 ) -> Profiles:
     """(first color, last color) -> one witness path, over proper s->t paths.
 
@@ -308,7 +326,7 @@ def _path_profiles(
     walk from ``t`` arrives at ``w`` by another color, ``arr[w] & ~(1 << col)``;
     every other step is pruned. The search ends once ``stop(out)`` is true
     (``bool`` stops at the first path) or every path is tried, and raises
-    :class:`PathBudgetExceeded` after ``_STEP_CAP`` steps.
+    :class:`PathBudgetExceeded` after ``cap`` steps.
     """
     out: Profiles = {}
     if not arr[s]:
@@ -323,8 +341,8 @@ def _path_profiles(
         """True once ``stop`` ends the search."""
         nonlocal steps
         steps += 1
-        if steps > _STEP_CAP:
-            raise PathBudgetExceeded("path search", view.c.k, _STEP_CAP)
+        if steps > cap:
+            raise PathBudgetExceeded("path search", view.c.k, cap)
         for w, col in inc[x]:
             if col == last:
                 continue
@@ -350,8 +368,186 @@ def _path_profiles(
 def _one_path(
     view: _ColorView, s: int, t: int, arr: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
-    """One proper s->t path, or None; ``arr`` as in :func:`_path_profiles`."""
-    return next(iter(_path_profiles(view, s, t, arr, bool).values()), None)
+    """One proper s->t path, or None; ``arr`` as in :func:`_path_profiles`.
+
+    The DFS runs under ``_DFS_BUDGET`` steps; past that the matching decides.
+    """
+    try:
+        profs = _path_profiles(view, s, t, arr, bool, _DFS_BUDGET)
+    except PathBudgetExceeded:
+        return _matching_path(view, s, t)
+    return next(iter(profs.values()), None)
+
+
+# -- the matching fallback -----------------------------------------------------
+#
+# Szeider's reduction of properly colored paths to perfect matching ("Finding
+# paths in graphs avoiding forbidden transitions", Discrete Appl. Math. 126,
+# 2003). Vertex x with c distinct incident colors becomes a gadget: one node
+# x_i per color i, c-2 nodes y and two nodes z, z' joined by an edge, every y,
+# z and z' adjacent to every x_i (c=1: just x_1-z). An edge uv of color i
+# becomes u_i-v_i. A perfect matching of a gadget either keeps all its x_i
+# inside or matches z-z' and leaves exactly two x_i of distinct colors to
+# graph edges, which is a proper pass through x. With one exposed pendant r_s
+# on s's z/z' and one r_t on t's, the matched graph edges of a perfect
+# matching form a proper s-t path (plus proper cycles), and back. So a proper
+# s-t path exists iff Edmonds' search from r_s, against the gadgets' internal
+# perfect matching, reaches z_t or z'_t as an outer vertex: one search
+# settles every target of s, and with r_t present it augments, and the new
+# matching spells out the path.
+
+
+class _Gadget:
+    """Szeider's gadget graph of a colored view with its base matching."""
+
+    __slots__ = ("adj", "mate", "owner", "xs", "ends")
+
+    def __init__(self, view: _ColorView):
+        adj: list[list[int]] = []
+        owner: list[int] = []  # graph vertex of each node
+        self.xs: list[dict[int, int]] = []  # xs[v][color] = node x_color of v
+        self.ends: list[tuple[int, ...]] = []  # (z, z') of v; (z,) when c=1
+
+        def nodes(v: int, count: int) -> list[int]:
+            first = len(adj)
+            adj.extend([] for _ in range(count))
+            owner.extend([v] * count)
+            return list(range(first, first + count))
+
+        mate: list[int] = []
+        for v, row in enumerate(view.inc):
+            cols = sorted({col for _, col in row})
+            xs = nodes(v, len(cols))
+            others = nodes(v, len(cols))  # the y's, then z and z'
+            mate.extend(others)
+            mate.extend(xs)
+            for x in xs:
+                adj[x].extend(others)
+                for o in others:
+                    adj[o].append(x)
+            if len(others) >= 2:
+                adj[others[-2]].append(others[-1])
+                adj[others[-1]].append(others[-2])
+            self.xs.append(dict(zip(cols, xs)))
+            self.ends.append(tuple(others[-2:]))
+        for (u, v), col in zip(view.g.edges, view.colors):
+            a, b = self.xs[u][col], self.xs[v][col]
+            adj[a].append(b)
+            adj[b].append(a)
+        self.adj = tuple(map(tuple, adj))
+        self.mate = mate
+        self.owner = owner
+
+    def with_pendants(self, *ends: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Adjacency and base matching plus one exposed pendant per vertex in
+        ``ends``, joined to its z and z'; pendant i is node ``len(adj) + i``."""
+        adj = list(self.adj)
+        for v in ends:
+            r = len(adj)
+            adj.append(self.ends[v])
+            for z in self.ends[v]:
+                adj[z] += (r,)
+        return adj, self.mate + [-1] * len(ends)
+
+
+def _blossom_search(
+    adj: Sequence[Sequence[int]], mate: list[int], root: int
+) -> tuple[list[bool], list[int], int]:
+    """Edmonds' search for an augmenting path from the exposed ``root``.
+
+    Returns ``(outer, parent, end)``: ``end`` is the first other exposed
+    node reached, or -1 when none is, and then ``outer`` marks exactly the
+    nodes an even alternating path from the root reaches. From ``end``,
+    ``parent`` and ``mate`` alternate back to the root along the augmenting
+    path.
+    """
+    n = len(adj)
+    base = list(range(n))
+    members: dict[int, list[int]] = {}  # base -> nodes of its blossom
+    parent = [-1] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if outer[w]:
+                # an edge between two outer nodes closes a blossom: contract it
+                b = lca(v, w)
+                blossom: set[int] = set()
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                inside = members.setdefault(b, [b])
+                for old in blossom - {b}:
+                    for x in members.pop(old, [old]):
+                        base[x] = b
+                        inside.append(x)
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    return outer, parent, w
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return outer, parent, -1
+
+
+def _matching_reach(view: _ColorView, s: int) -> list[bool]:
+    """``reach[t]``: a proper s-t path exists; one search settles every t."""
+    gad = view.gadget()
+    adj, mate = gad.with_pendants(s)
+    outer, _, _ = _blossom_search(adj, mate, len(adj) - 1)
+    return [any(outer[z] for z in ends) for ends in gad.ends]
+
+
+def _matching_path(view: _ColorView, s: int, t: int) -> Optional[tuple[int, ...]]:
+    """One proper s->t path read off an augmented matching, or None."""
+    gad = view.gadget()
+    adj, mate = gad.with_pendants(s, t)
+    _, parent, end = _blossom_search(adj, mate, len(adj) - 2)
+    if end == -1:
+        return None
+    while end != -1:  # augment
+        p = parent[end]
+        nxt = mate[p]
+        mate[end], mate[p] = p, end
+        end = nxt
+    # follow the matched graph edges: s has one, each inner vertex two
+    owner = gad.owner
+    path = [s]
+    entry = -1
+    while path[-1] != t:
+        v = path[-1]
+        x = next(x for x in gad.xs[v].values() if x != entry and owner[mate[x]] != v)
+        entry = mate[x]
+        path.append(owner[entry])
+    return tuple(path)
 
 
 # -- public checks -------------------------------------------------------------
@@ -394,10 +590,19 @@ def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
     n = view.g.n
     for u in range(n):
         arr = _walk_arrivals(view.einc, view.colors, u)
+        reach = None  # u's matching reach, once a DFS toward u overran
         for v in range(u + 1, n):
-            # A reversed proper path is a proper path: search v -> u, which
-            # prunes with this one walk sweep from u.
-            if _one_path(view, v, u, arr) is None:
+            if reach is None:
+                # A reversed proper path is a proper path: search v -> u,
+                # which prunes with this one walk sweep from u.
+                try:
+                    if _path_profiles(view, v, u, arr, bool, _DFS_BUDGET):
+                        continue
+                    return u, v
+                except PathBudgetExceeded:
+                    # one matching search settles all of u's remaining pairs
+                    reach = _matching_reach(view, u)
+            if not reach[v]:
                 return u, v
     return None
 

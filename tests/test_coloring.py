@@ -24,6 +24,7 @@ from properconn import (
     proper_walk_exists,
     proper_walk_reach,
 )
+from properconn import coloring
 
 import oracles
 
@@ -284,15 +285,23 @@ class TestHasStrongProperty:
             has_strong_property(g, c)
 
     def test_matches_brute_force(self):
+        # Draw until both verdicts are well represented: a random coloring
+        # is rarely strong, and a positive verdict carries every witness.
         rng = random.Random(13)
-        for _ in range(30):
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 10:
             n = rng.randint(3, 6)
             m_hi = n * (n - 1) // 2
             g = corpus.random_connected(n, rng.randint(n, min(m_hi, 2 * n)), rng)
-            c = EdgeColoring.from_vector(g, 2, [rng.randint(1, 2) for _ in range(g.m)])
+            k = rng.choice((2, 3))
+            c = EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
             chk = has_strong_property(g, c)
             assert chk.ok == oracles.brute_strong(g, c)
-            # witnesses cover the pairs before a failing one, too
+            seen[chk.ok] += 1
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            # witnesses cover every pair before the failing one, or all pairs
+            upto = pairs.index(chk.failing_pair) if not chk.ok else len(pairs)
+            assert list(chk.witnesses) == pairs[:upto]
             for (u, v), w in chk.witnesses.items():
                 w.validate(g, c)
                 for cert in (w.p1, w.p2):
@@ -351,6 +360,55 @@ class TestPathBudget:
         assert isinstance(exc, SearchBudgetExceeded) and exc.lower is None
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is PathBudgetExceeded and str(back) == str(exc)
+
+
+class TestMatchingFallback:
+    """Single-path queries forced through the blossom-matching fallback (DFS
+    budget 0), against the brute-force path oracles."""
+
+    @pytest.fixture(autouse=True)
+    def _matching_only(self, monkeypatch):
+        monkeypatch.setattr(coloring, "_DFS_BUDGET", 0)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(29)
+        single_color = pendant = passing = 0
+        for _ in range(250):
+            n = rng.randint(2, 7)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+            g, c = _random_colored(rng, n, m, rng.randint(1, 4))
+            single_color += sum(len({c.color(v, w) for w in g.adj[v]}) == 1 for v in range(n))
+            pendant += sum(len(g.adj[v]) == 1 for v in range(n))
+            first_dead = None
+            for u in range(n):
+                for v in range(u + 1, n):
+                    cert = proper_path_exists(g, c, u, v)
+                    assert (cert is not None) == oracles.brute_has_proper_path(g, c, u, v)
+                    if cert is None:
+                        first_dead = first_dead or (u, v)
+                    else:
+                        cert.validate(g, c)
+                        assert (cert.path[0], cert.path[-1]) == (u, v)
+            assert is_proper_connected(g, c) == (first_dead is None, first_dead)
+            passing += first_dead is None
+        assert single_color and pendant and 25 <= passing <= 225
+
+
+class TestScale:
+    @pytest.mark.parametrize("n", (100, 200))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_random_graphs_get_verdicts(self, n, k):
+        rng = random.Random(n * 10 + k)
+        g, c = _random_colored(rng, n, 3 * n, k)
+        ok, pair = is_proper_connected(g, c)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if pair is not None:
+            assert proper_path_exists(g, c, *pair) is None
+            pairs = pairs[: pairs.index(pair)]
+        for u, v in rng.sample(pairs, min(len(pairs), 40)):
+            cert = proper_path_exists(g, c, u, v)
+            assert cert is not None and (cert.path[0], cert.path[-1]) == (u, v)
+            cert.validate(g, c)
 
 
 class TestRefinementMonotonicity:

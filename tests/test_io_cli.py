@@ -20,6 +20,7 @@ from properconn import (
     format_graph,
     parse_coloring,
     parse_graph,
+    proper_path_exists,
 )
 from properconn.cli import main
 from properconn.io import (
@@ -289,17 +290,33 @@ class TestCliVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_path_step_cap_is_inconclusive(self, tmp_path, capsys):
-        # The path search is exponential: on this graph it runs into its
-        # step cap. That is a budget outcome (exit 3), not a
-        # failed property (exit 1). A polynomial path oracle would turn this
-        # into a verdict, to be checked against a reference here.
+    @staticmethod
+    def _cap_graph(tmp_path):
+        """A graph on which the exponential path DFS runs into its step cap."""
         rng = random.Random(0)
         g = corpus.random_connected(60, 140, rng)
         c = EdgeColoring.from_vector(g, 3, [rng.randint(1, 3) for _ in range(g.m)])
-        gpath = _graph_file(tmp_path, g)
-        cpath = _coloring_file(tmp_path, c)
-        assert main(["verify", gpath, cpath, "--json"]) == 3
+        return g, c, _graph_file(tmp_path, g), _coloring_file(tmp_path, c)
+
+    def test_path_step_cap_graph_gets_a_verdict(self, tmp_path, capsys):
+        # The single-path queries the DFS cannot settle within its budget go
+        # to the matching fallback, so this input gets an exact verdict; every
+        # pair is confirmed by a validated certificate.
+        g, c, gpath, cpath = self._cap_graph(tmp_path)
+        assert main(["verify", gpath, cpath, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {"proper_connected": True}
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                cert = proper_path_exists(g, c, u, v)
+                assert cert is not None and (cert.path[0], cert.path[-1]) == (u, v)
+                cert.validate(g, c)
+
+    def test_path_step_cap_is_inconclusive(self, tmp_path, capsys):
+        # The strong check's profile searches still run on the capped DFS: on
+        # this input they hit the step cap. That is a budget outcome (exit 3),
+        # not a failed property (exit 1).
+        _, _, gpath, cpath = self._cap_graph(tmp_path)
+        assert main(["verify", gpath, cpath, "--strong", "--json"]) == 3
         out = capsys.readouterr()
         assert "step cap" in out.err
         result = json.loads(out.out)["result"]
