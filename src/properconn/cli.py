@@ -406,10 +406,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code = args.run(args, report)
     except SearchBudgetExceeded as exc:
-        report.result = {"inconclusive": True}
-        if exc.lower is not None:  # path step caps establish no bound
-            report.result["lower_bound"] = exc.lower
-        report.result["nodes"] = exc.nodes
+        report.result = {
+            "inconclusive": True,
+            "lower_bound": exc.lower,
+            "nodes": exc.nodes,
+        }
         report.evidence = ["budget-exhausted"]
         _emit(report, args, t0)
         print(f"pc: inconclusive: {exc}", file=sys.stderr)

@@ -14,38 +14,33 @@ Every proper-walk question runs through one BFS, ``_walk_arrivals``, over
 uncolored edge that any color may follow, which is how the exact solver
 screens partial colorings with the same loop.
 
-Every path question -- one proper path, or the (first color, last color)
-profiles the strong check and the gadget analysis need -- runs through one
-depth-first search over simple paths, ``_path_profiles``. It prunes with walk
-reachability toward the target: a proper walk reversed is a proper walk, so
-one BFS *from* the target gives, per vertex, the colors a walk can arrive by,
-and a step into ``w`` by color ``col`` can still finish exactly when some
-arrival color at ``w`` differs from ``col``. The all-pairs checks search each
-pair from its larger end, so the sweep's BFS from the smaller end is that
-prune.
-
-The single-path queries (``proper_path_exists``, ``is_proper_connected`` and,
-through ``_one_path``, the refutation's dead-pair checks) give the DFS a small
-step budget and hand whatever it leaves open to a polynomial fallback:
-Edmonds' blossom search on Szeider's gadget graph, where a proper s-t path is
-an augmenting path. So they always settle. Only the profile searches (the
-strong check, the gadget analysis) still end at a step cap with
-:class:`PathBudgetExceeded` (inconclusive). Certificates are always
-re-validated before being returned.
+Every path question is one query, ``_one_path``: a proper s-t path whose
+first color avoids one given color and whose last color avoids another (or
+neither). A depth-first search over simple paths, ``_dfs_path``, tries it
+first. It prunes with walk reachability toward the target: a proper walk
+reversed is a proper walk, so one BFS *from* the target gives, per vertex, the
+colors a walk can arrive by, and a step into ``w`` by color ``col`` can still
+finish exactly when some arrival color at ``w`` differs from ``col``. The
+all-pairs checks search each pair from its larger end, so the sweep's BFS from
+the smaller end is that prune. The DFS runs under a small step budget, and a
+polynomial fallback settles whatever it leaves open: Edmonds' blossom search
+on Szeider's gadget graph, where a proper s-t path is an augmenting path and
+an end color is forbidden by where the end's pendant hangs. So every query
+settles. The strong check needs at most four queries per pair, and the gadget
+analysis one per escape route. Certificates are always re-validated before
+being returned.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import (
     Edge,
     Graph,
     InternalError,
     PreconditionError,
-    SearchBudgetExceeded,
     _norm,
     connected_components,
 )
@@ -53,22 +48,6 @@ from .graph import (
 
 class ColoringError(ValueError):
     """Malformed edge coloring (bad palette, missing or alien edges)."""
-
-
-class PathBudgetExceeded(SearchBudgetExceeded):
-    """A path search hit its step cap before settling a query.
-
-    Inconclusive, like any :class:`SearchBudgetExceeded`: ``nodes`` is the
-    step count at the stop, and no lower bound on the palette comes with it.
-    """
-
-    def __init__(self, what: str, k: int, steps: int):
-        super().__init__(k, None, steps)
-        self.what = what
-        self.args = (f"{what} exceeded its step cap of {steps} steps (k={k})",)
-
-    def __reduce__(self):
-        return type(self), (self.what, self.k, self.nodes)
 
 
 @dataclass(frozen=True)
@@ -302,81 +281,85 @@ def proper_walk_exists(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
 # -- proper paths -------------------------------------------------------------
 
 
-_STEP_CAP = 5_000_000
-# The DFS settles nearly every single-path query within this many steps; a
-# query that needs more goes to the matching below, which is polynomial.
+# The DFS settles nearly every query within this many steps; a query that
+# needs more goes to the matching below, which is polynomial.
 _DFS_BUDGET = 2_000
 
-Profiles = dict[tuple[int, int], tuple[int, ...]]
+
+class _Overrun(Exception):
+    """The DFS spent ``_DFS_BUDGET`` steps without settling its query."""
 
 
-def _path_profiles(
+def _dfs_path(
     view: _ColorView,
     s: int,
     t: int,
     arr: Sequence[int],
-    stop: Callable[[Profiles], object],
-    cap: int = _STEP_CAP,
-) -> Profiles:
-    """(first color, last color) -> one witness path, over proper s->t paths.
+    first_not: int = 0,
+    last_not: int = 0,
+) -> Optional[tuple[int, ...]]:
+    """One proper s->t path whose first color is not ``first_not`` and whose
+    last color is not ``last_not`` (0 forbids nothing), or None.
 
     A depth-first search over simple paths from ``s``. ``arr`` is
     ``_walk_arrivals`` run from ``t``: a proper walk reversed is a proper walk,
     so a step into ``w`` by color ``col`` can still finish exactly when some
     walk from ``t`` arrives at ``w`` by another color, ``arr[w] & ~(1 << col)``;
-    every other step is pruned. The search ends once ``stop(out)`` is true
-    (``bool`` stops at the first path) or every path is tried, and raises
-    :class:`PathBudgetExceeded` after ``cap`` steps.
+    every other step is pruned. Raises :class:`_Overrun` once it has entered
+    more than ``_DFS_BUDGET`` vertices.
     """
-    out: Profiles = {}
     if not arr[s]:
-        return out
+        return None
+    budget = _DFS_BUDGET
     inc = view.inc
     onpath = [False] * len(inc)
     onpath[s] = True
     path = [s]
-    steps = 0
-
-    def dfs(x: int, first: int, last: int) -> bool:
-        """True once ``stop`` ends the search."""
-        nonlocal steps
-        steps += 1
-        if steps > cap:
-            raise PathBudgetExceeded("path search", view.c.k, cap)
-        for w, col in inc[x]:
+    # one (neighbor iterator, color of the edge in) frame per path vertex; the
+    # source's "edge in" is the color its first edge must avoid
+    stack = [(iter(inc[s]), first_not)]
+    steps = 1  # vertices entered, the source included
+    if steps > budget:
+        raise _Overrun
+    while stack:
+        it, last = stack[-1]
+        for w, col in it:
             if col == last:
                 continue
             if w == t:
-                prof = (first or col, col)
-                if prof not in out:
-                    out[prof] = (*path, t)
-                    if stop(out):
-                        return True
+                if col != last_not:
+                    return (*path, t)
             elif not onpath[w] and arr[w] & ~(1 << col):
-                onpath[w] = True
-                path.append(w)
-                if dfs(w, first or col, col):
-                    return True
-                path.pop()
-                onpath[w] = False
-        return False
-
-    dfs(s, 0, 0)
-    return out
+                break
+        else:
+            stack.pop()
+            onpath[path.pop()] = False
+            continue
+        steps += 1
+        if steps > budget:
+            raise _Overrun
+        onpath[w] = True
+        path.append(w)
+        stack.append((iter(inc[w]), col))
+    return None
 
 
 def _one_path(
-    view: _ColorView, s: int, t: int, arr: Sequence[int]
+    view: _ColorView,
+    s: int,
+    t: int,
+    arr: Sequence[int],
+    first_not: int = 0,
+    last_not: int = 0,
 ) -> Optional[tuple[int, ...]]:
-    """One proper s->t path, or None; ``arr`` as in :func:`_path_profiles`.
+    """One proper s->t path, or None; arguments as in :func:`_dfs_path`.
 
     The DFS runs under ``_DFS_BUDGET`` steps; past that the matching decides.
     """
     try:
-        profs = _path_profiles(view, s, t, arr, bool, _DFS_BUDGET)
-    except PathBudgetExceeded:
-        return _matching_path(view, s, t)
-    return next(iter(profs.values()), None)
+        return _dfs_path(view, s, t, arr, first_not, last_not)
+    except _Overrun:
+        return _matching_path(view, s, t, first_not, last_not)
 
 
 # -- the matching fallback -----------------------------------------------------
@@ -394,7 +377,9 @@ def _one_path(
 # s-t path exists iff Edmonds' search from r_s, against the gadgets' internal
 # perfect matching, reaches z_t or z'_t as an outer vertex: one search
 # settles every target of s, and with r_t present it augments, and the new
-# matching spells out the path.
+# matching spells out the path. A pendant hung on x_a alone instead takes
+# x_a out of the path: z-z' must then match, and the one x_i left for a
+# graph edge has i != a, so the path's color at that end is not a.
 
 
 class _Gadget:
@@ -438,14 +423,19 @@ class _Gadget:
         self.mate = mate
         self.owner = owner
 
-    def with_pendants(self, *ends: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """Adjacency and base matching plus one exposed pendant per vertex in
-        ``ends``, joined to its z and z'; pendant i is node ``len(adj) + i``."""
+    def with_pendants(
+        self, *ends: tuple[int, int]
+    ) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Adjacency and base matching plus one exposed pendant per (vertex,
+        color) in ``ends``; pendant i is node ``len(adj) + i``. It hangs on
+        the vertex's x_color, so that the path avoids that color there, or on
+        its z and z' when the vertex has no edge of that color (color 0)."""
         adj = list(self.adj)
-        for v in ends:
+        for v, col in ends:
             r = len(adj)
-            adj.append(self.ends[v])
-            for z in self.ends[v]:
+            hooks = (self.xs[v][col],) if col in self.xs[v] else self.ends[v]
+            adj.append(hooks)
+            for z in hooks:
                 adj[z] += (r,)
         return adj, self.mate + [-1] * len(ends)
 
@@ -521,15 +511,18 @@ def _blossom_search(
 def _matching_reach(view: _ColorView, s: int) -> list[bool]:
     """``reach[t]``: a proper s-t path exists; one search settles every t."""
     gad = view.gadget()
-    adj, mate = gad.with_pendants(s)
+    adj, mate = gad.with_pendants((s, 0))
     outer, _, _ = _blossom_search(adj, mate, len(adj) - 1)
     return [any(outer[z] for z in ends) for ends in gad.ends]
 
 
-def _matching_path(view: _ColorView, s: int, t: int) -> Optional[tuple[int, ...]]:
-    """One proper s->t path read off an augmented matching, or None."""
+def _matching_path(
+    view: _ColorView, s: int, t: int, first_not: int, last_not: int
+) -> Optional[tuple[int, ...]]:
+    """One proper s->t path read off an augmented matching, or None; the
+    colors at its ends avoid ``first_not`` and ``last_not``."""
     gad = view.gadget()
-    adj, mate = gad.with_pendants(s, t)
+    adj, mate = gad.with_pendants((s, first_not), (t, last_not))
     _, parent, end = _blossom_search(adj, mate, len(adj) - 2)
     if end == -1:
         return None
@@ -538,8 +531,9 @@ def _matching_path(view: _ColorView, s: int, t: int) -> Optional[tuple[int, ...]
         nxt = mate[p]
         mate[end], mate[p] = p, end
         end = nxt
-    # follow the matched graph edges: s has one, each inner vertex two
-    owner = gad.owner
+    # follow the matched graph edges: s has one, each inner vertex two; the
+    # pendants count as their ends' own nodes, so the walk skips them
+    owner = gad.owner + [s, t]
     path = [s]
     entry = -1
     while path[-1] != t:
@@ -596,21 +590,14 @@ def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
                 # A reversed proper path is a proper path: search v -> u,
                 # which prunes with this one walk sweep from u.
                 try:
-                    if _path_profiles(view, v, u, arr, bool, _DFS_BUDGET):
-                        continue
-                    return u, v
-                except PathBudgetExceeded:
+                    if _dfs_path(view, v, u, arr) is None:
+                        return u, v
+                    continue
+                except _Overrun:
                     # one matching search settles all of u's remaining pairs
                     reach = _matching_reach(view, u)
             if not reach[v]:
                 return u, v
-    return None
-
-
-def _compatible(profs: Profiles) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-    for p1, p2 in itertools.combinations(profs, 2):
-        if p1[0] != p2[0] and p1[1] != p2[1]:
-            return p1, p2
     return None
 
 
@@ -628,24 +615,44 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     if g.n >= 2 and len(connected_components(g)) != 1:
         raise PreconditionError("the strong property is defined on connected graphs")
     view = _ColorView(g, c)
-    # distinct colors at each vertex: a pair has at most ends[u] * ends[v]
-    # profiles, so a search that found them all can stop
-    ends = [len({col for _, col in row}) for row in view.inc]
     witnesses: dict[tuple[int, int], StrongWitness] = {}
     for u in range(g.n):
         arr = _walk_arrivals(view.einc, view.colors, u)
         for v in range(u + 1, g.n):
-            every = ends[u] * ends[v]
             # v -> u paths, as in _first_unconnected_pair; reversed below so
             # that the certificates run u -> v
-            profs = _path_profiles(
-                view, v, u, arr, lambda out: len(out) == every or _compatible(out)
-            )
-            pair = _compatible(profs)
+            pair = _strong_pair(view, v, u, arr)
             if pair is None:
                 return StrongCheck(False, witnesses, (u, v))
             witnesses[(u, v)] = StrongWitness(
-                certificate_from_path(g, c, profs[pair[0]][::-1]),
-                certificate_from_path(g, c, profs[pair[1]][::-1]),
+                certificate_from_path(g, c, pair[0][::-1]),
+                certificate_from_path(g, c, pair[1][::-1]),
             )
     return StrongCheck(True, witnesses)
+
+
+def _strong_pair(
+    view: _ColorView, s: int, t: int, arr: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Two proper s->t paths whose first colors differ and whose last colors
+    differ, or None; ``arr`` as in :func:`_dfs_path`. At most four queries.
+
+    Take any path P1, with first color a and last color b. A path that avoids
+    a first and b last pairs with it. When there is none, every path starts
+    with a or ends with b, so two paths that differ at both ends must be one
+    that starts with a but does not end with b, and one that ends with b but
+    does not start with a: a path avoiding a first and one avoiding b last.
+    """
+    p1 = _one_path(view, s, t, arr)
+    if p1 is None:
+        return None
+    color = view.c.color
+    a, b = color(p1[0], p1[1]), color(p1[-2], p1[-1])
+    p2 = _one_path(view, s, t, arr, a, b)
+    if p2 is not None:
+        return p1, p2
+    q1 = _one_path(view, s, t, arr, first_not=a)
+    if q1 is None:
+        return None
+    q2 = _one_path(view, s, t, arr, last_not=b)
+    return None if q2 is None else (q1, q2)

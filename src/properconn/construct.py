@@ -960,40 +960,29 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
     return EdgeColoring(2, asg)
 
 
-def color_diam3(g: Graph, fallback: bool = False) -> EdgeColoring:
+def color_diam3(g: Graph) -> EdgeColoring:
     """Verified 2-coloring of a 2-connected noncomplete diameter-3 graph.
 
     Dispatches on :func:`classify_diam3`. Construction failures raise
-    :class:`InternalError` (a falsified proof step); with ``fallback=True`` an
-    exact 2-color search runs before the error propagates.
+    :class:`InternalError` (a falsified proof step).
     """
     dec = classify_diam3(g)
-    try:
-        if dec.case_tag == CASE_THREE_EC:
-            c = color_3ec(g)
-        elif dec.case_tag in (CASE1_SUB11, CASE1_SUB12):
-            c = _color_case1(g, dec)
-        elif dec.case_tag == CASE2_ODD_CYCLE:
-            order = dec.odd_cycle
-            c = EdgeColoring(
-                2,
-                {
-                    _norm(order[i], order[(i + 1) % g.n]): 1 + (i & 1)
-                    for i in range(g.n)
-                },
-            )
-        else:
-            c = _color_case2_bipartite(g, dec)
-        ok, pair = is_proper_connected(g, c)
-        if not ok:
-            raise InternalError(
-                f"constructed coloring leaves pair {pair} unconnected "
-                f"(case {dec.case_tag})"
-            )
-        return c
-    except InternalError:
-        if fallback:
-            solved = exists_pc_coloring(g, 2, budget_nodes=5_000_000)
-            if solved is not None:
-                return solved
-        raise
+    if dec.case_tag == CASE_THREE_EC:
+        c = color_3ec(g)
+    elif dec.case_tag in (CASE1_SUB11, CASE1_SUB12):
+        c = _color_case1(g, dec)
+    elif dec.case_tag == CASE2_ODD_CYCLE:
+        order = dec.odd_cycle
+        c = EdgeColoring(
+            2,
+            {_norm(order[i], order[(i + 1) % g.n]): 1 + (i & 1) for i in range(g.n)},
+        )
+    else:
+        c = _color_case2_bipartite(g, dec)
+    ok, pair = is_proper_connected(g, c)
+    if not ok:
+        raise InternalError(
+            f"constructed coloring leaves pair {pair} unconnected "
+            f"(case {dec.case_tag})"
+        )
+    return c

@@ -47,7 +47,6 @@ from .coloring import (
     _ColorView,
     _first_unconnected_pair,
     _one_path,
-    _path_profiles,
     _walk_arrivals,
 )
 
@@ -525,14 +524,9 @@ def _escapes(view: _ColorView, v_loc: int, conn_loc: int, link_color: int) -> bo
     Either v is the connector itself, or some proper path from v to the
     connector inside the region ends in a color other than the link's.
     """
-    if v_loc == conn_loc:
-        return True
-
-    def escaped(profs) -> bool:
-        return any(e != link_color for _, e in profs)
-
-    return escaped(
-        _path_profiles(view, v_loc, conn_loc, view.arrivals(conn_loc), escaped)
+    return v_loc == conn_loc or (
+        _one_path(view, v_loc, conn_loc, view.arrivals(conn_loc), last_not=link_color)
+        is not None
     )
 
 

@@ -33,11 +33,10 @@ class SearchBudgetExceeded(RuntimeError):
     """A search ran out of budget before it settled its question.
 
     Explicitly *inconclusive*: carries the palette size under test, the lower
-    bound established so far (None when the search establishes none), and
-    the node count at the stop.
+    bound established so far, and the node count at the stop.
     """
 
-    def __init__(self, k: int, lower: Optional[int], nodes: int):
+    def __init__(self, k: int, lower: int, nodes: int):
         super().__init__(
             f"search budget exhausted at k={k} after {nodes} nodes "
             f"(established lower bound {lower})"
@@ -205,8 +204,6 @@ class Bipartition:
 class CutStructure:
     bridges: tuple[Edge, ...]
     cut_vertices: tuple[int, ...]
-    kappa: Optional[int] = None
-    kappa_prime: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -407,31 +404,44 @@ def bridges(g: Graph) -> tuple[Edge, ...]:
 # -- connectivity via unit-capacity flow -------------------------------------
 
 
+def _augment(
+    res: list[dict[int, int]], src: int, dst: int, cap: Optional[int] = None
+) -> int:
+    """Augment ``res`` along shortest residual src-dst paths, one unit each,
+    until none is left or the flow reaches ``cap``; returns the flow.
+
+    ``res[a][b]`` is the residual capacity of arc a->b, and every arc's
+    reverse has an entry, so that augmenting can credit it.
+    """
+    n = len(res)
+    flow = 0
+    while cap is None or flow < cap:
+        prev = [-1] * n
+        prev[src] = src
+        q = deque([src])
+        while q and prev[dst] < 0:
+            a = q.popleft()
+            for b, c in res[a].items():
+                if c > 0 and prev[b] < 0:
+                    prev[b] = a
+                    q.append(b)
+        if prev[dst] < 0:
+            break
+        b = dst
+        while b != src:
+            a = prev[b]
+            res[a][b] -= 1
+            res[b][a] += 1
+            b = a
+        flow += 1
+    return flow
+
+
 def _edge_flow(g: Graph, s: int, t: int, cap: Optional[int] = None) -> int:
     """Max number of edge-disjoint s-t paths (BFS augmentation)."""
     # residual: dict of dicts, symmetric unit capacities
     res = [dict.fromkeys(g.adj[v], 1) for v in range(g.n)]
-    flow = 0
-    while cap is None or flow < cap:
-        prev = [-1] * g.n
-        prev[s] = s
-        q = deque([s])
-        while q and prev[t] < 0:
-            u = q.popleft()
-            for w, c in res[u].items():
-                if c > 0 and prev[w] < 0:
-                    prev[w] = u
-                    q.append(w)
-        if prev[t] < 0:
-            break
-        v = t
-        while v != s:
-            u = prev[v]
-            res[u][v] -= 1
-            res[v][u] = res[v].get(u, 0) + 1
-            v = u
-        flow += 1
-    return flow
+    return _augment(res, s, t, cap)
 
 
 def edge_connectivity(g: Graph) -> int:
@@ -467,28 +477,7 @@ def _vertex_flow(g: Graph, s: int, t: int, cap: Optional[int] = None) -> int:
     for u, v in g.edges:
         add(2 * u + 1, 2 * v, 1)
         add(2 * v + 1, 2 * u, 1)
-    src, dst = 2 * s + 1, 2 * t
-    flow = 0
-    while cap is None or flow < cap:
-        prev = [-1] * N
-        prev[src] = src
-        q = deque([src])
-        while q and prev[dst] < 0:
-            a = q.popleft()
-            for b, c in res[a].items():
-                if c > 0 and prev[b] < 0:
-                    prev[b] = a
-                    q.append(b)
-        if prev[dst] < 0:
-            break
-        b = dst
-        while b != src:
-            a = prev[b]
-            res[a][b] -= 1
-            res[b][a] += 1
-            b = a
-        flow += 1
-    return flow
+    return _augment(res, 2 * s + 1, 2 * t, cap)
 
 
 def connectivity(g: Graph) -> int:
@@ -518,13 +507,6 @@ def connectivity(g: Graph) -> int:
 
 def is_k_connected(g: Graph, k: int) -> bool:
     return connectivity(g) >= k
-
-
-def full_cut_structure(g: Graph) -> CutStructure:
-    base = bridges_and_cut_vertices(g)
-    return CutStructure(
-        base.bridges, base.cut_vertices, connectivity(g), edge_connectivity(g)
-    )
 
 
 # -- two-fans (Menger) -------------------------------------------------------
@@ -567,26 +549,7 @@ def two_fan(g: Graph, v: int, target: Iterable[int]) -> tuple[list[int], list[in
             add(2 * a + 1, 2 * b, 1)
         if b not in tmark and a != v:
             add(2 * b + 1, 2 * a, 1)
-    flow = 0
-    while flow < 2:
-        prev = [-1] * N
-        prev[src] = src
-        q = deque([src])
-        while q and prev[sink] < 0:
-            a = q.popleft()
-            for b, c in res[a].items():
-                if c > 0 and prev[b] < 0:
-                    prev[b] = a
-                    q.append(b)
-        if prev[sink] < 0:
-            break
-        b = sink
-        while b != src:
-            a = prev[b]
-            res[a][b] -= 1
-            res[b][a] += 1
-            b = a
-        flow += 1
+    flow = _augment(res, src, sink, 2)
     if flow < 2:
         if connectivity(g) < 2:
             raise PreconditionError("two_fan requires a 2-connected graph")

@@ -82,7 +82,9 @@ def brute_is_pc(g: Graph, c) -> bool:
     )
 
 
-def brute_strong(g: Graph, c) -> bool:
+def brute_strong(g: Graph, c):
+    """The lexicographically first pair without two proper paths that differ
+    in both end colors, or None when the coloring is strong."""
     for u in range(g.n):
         for v in range(u + 1, g.n):
             profs = {
@@ -94,8 +96,8 @@ def brute_strong(g: Graph, c) -> bool:
                 a[0] != b[0] and a[1] != b[1]
                 for a, b in itertools.combinations(profs, 2)
             ):
-                return False
-    return True
+                return (u, v)
+    return None
 
 
 # -- fast exhaustive 2-coloring machinery ---------------------------------------

@@ -1,7 +1,6 @@
 """Edge colorings, proper-path certificates, and the connectivity checkers."""
 
 import itertools
-import pickle
 import random
 
 import pytest
@@ -11,10 +10,8 @@ from properconn import (
     EdgeColoring,
     Graph,
     InternalError,
-    PathBudgetExceeded,
     PreconditionError,
     ProperPathCertificate,
-    SearchBudgetExceeded,
     StrongWitness,
     certificate_from_path,
     corpus,
@@ -285,27 +282,40 @@ class TestHasStrongProperty:
             has_strong_property(g, c)
 
     def test_matches_brute_force(self):
-        # Draw until both verdicts are well represented: a random coloring
-        # is rarely strong, and a positive verdict carries every witness.
-        rng = random.Random(13)
-        seen = {True: 0, False: 0}
-        while min(seen.values()) < 10:
-            n = rng.randint(3, 6)
-            m_hi = n * (n - 1) // 2
-            g = corpus.random_connected(n, rng.randint(n, min(m_hi, 2 * n)), rng)
-            k = rng.choice((2, 3))
-            c = EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
-            chk = has_strong_property(g, c)
-            assert chk.ok == oracles.brute_strong(g, c)
-            seen[chk.ok] += 1
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            # witnesses cover every pair before the failing one, or all pairs
-            upto = pairs.index(chk.failing_pair) if not chk.ok else len(pairs)
-            assert list(chk.witnesses) == pairs[:upto]
-            for (u, v), w in chk.witnesses.items():
-                w.validate(g, c)
-                for cert in (w.p1, w.p2):
-                    assert (cert.path[0], cert.path[-1]) == (u, v)
+        _strong_matches_brute_force(random.Random(13))
+
+
+def _strong_matches_brute_force(rng):
+    """Seeded colorings (k 2-4) against the brute-force strong oracle, drawn
+    until both verdicts are well represented: a random coloring is rarely
+    strong, and a positive verdict carries every witness."""
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 40:
+        n = rng.randint(3, 7)
+        m_hi = n * (n - 1) // 2
+        g = corpus.random_connected(n, rng.randint(n, min(m_hi, 2 * n)), rng)
+        k = rng.randint(2, 4)
+        c = EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
+        chk = has_strong_property(g, c)
+        want = oracles.brute_strong(g, c)
+        assert (chk.ok, chk.failing_pair) == (want is None, want)
+        seen[chk.ok] += 1
+        _check_witnesses(g, c, chk)
+
+
+def _check_witnesses(g, c, chk, sample=None):
+    """The witnesses cover every pair before the failing one, or all pairs;
+    each validates and runs u -> v. ``sample`` validates only that many."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    upto = pairs.index(chk.failing_pair) if not chk.ok else len(pairs)
+    assert list(chk.witnesses) == pairs[:upto]
+    checked = list(chk.witnesses.items())
+    if sample is not None and len(checked) > sample:
+        checked = random.Random(len(checked)).sample(checked, sample)
+    for (u, v), w in checked:
+        w.validate(g, c)
+        for cert in (w.p1, w.p2):
+            assert (cert.path[0], cert.path[-1]) == (u, v)
 
 
 def _random_colored(rng, n, m, k):
@@ -351,20 +361,12 @@ class TestSharedWalkSearch:
                 for v in range(u + 1, g.n):
                     got = proper_path_exists(g, c, u, v) is not None
                     assert got == oracles.brute_has_proper_path(g, c, u, v)
-            assert has_strong_property(g, c).ok == oracles.brute_strong(g, c)
-
-
-class TestPathBudget:
-    def test_inconclusive_and_survives_a_worker_round_trip(self):
-        exc = PathBudgetExceeded("path enumeration", 3, 5_000_000)
-        assert isinstance(exc, SearchBudgetExceeded) and exc.lower is None
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is PathBudgetExceeded and str(back) == str(exc)
+            assert has_strong_property(g, c).failing_pair == oracles.brute_strong(g, c)
 
 
 class TestMatchingFallback:
-    """Single-path queries forced through the blossom-matching fallback (DFS
-    budget 0), against the brute-force path oracles."""
+    """Path queries forced through the blossom-matching fallback (DFS budget
+    0), against the brute-force path oracles."""
 
     @pytest.fixture(autouse=True)
     def _matching_only(self, monkeypatch):
@@ -393,6 +395,11 @@ class TestMatchingFallback:
             passing += first_dead is None
         assert single_color and pendant and 25 <= passing <= 225
 
+    def test_strong_check_matches_brute_force(self):
+        # every query that the walk filter leaves open, the ones with a
+        # forbidden end color included, goes through the matching
+        _strong_matches_brute_force(random.Random(37))
+
 
 class TestScale:
     @pytest.mark.parametrize("n", (100, 200))
@@ -409,6 +416,30 @@ class TestScale:
             cert = proper_path_exists(g, c, u, v)
             assert cert is not None and (cert.path[0], cert.path[-1]) == (u, v)
             cert.validate(g, c)
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        # the DFS keeps its own stack, so a path longer than Python's default
+        # recursion limit (1,000) is found within the step budget
+        n = 1500
+        g = corpus.path_graph(n)
+        c = EdgeColoring.from_vector(g, 2, [1 + i % 2 for i in range(g.m)])
+        cert = proper_path_exists(g, c, 0, n - 1)
+        assert cert is not None and cert.path == tuple(range(n))
+        cert.validate(g, c)
+
+    @pytest.mark.parametrize("n", (100, 200))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_strong_check_gets_verdicts(self, n, k, end_profiles):
+        rng = random.Random(n * 10 + k)
+        g, c = _random_colored(rng, n, 3 * n, k)
+        chk = has_strong_property(g, c)
+        _check_witnesses(g, c, chk, sample=40)
+        if not chk.ok:
+            # no two of the failing pair's profiles differ at both ends
+            profs = end_profiles(g, c, *chk.failing_pair)
+            assert not any(
+                p[0] != q[0] and p[1] != q[1] for p, q in itertools.combinations(profs, 2)
+            )
 
 
 class TestRefinementMonotonicity:

@@ -261,6 +261,20 @@ class TestColor3ec:
             assert c.colors_used() == 2
             assert has_strong_property(g, c).ok
 
+    def test_random_n40_finishes(self):
+        # The first draw with edge connectivity >= 3; every strong-check pair
+        # is settled, so the construction returns a verified coloring.
+        rng = random.Random(40)
+        g = corpus.random_connected(40, 120, rng)
+        while edge_connectivity(g) < 3:
+            g = corpus.random_connected(40, 120, rng)
+        c = color_3ec(g)
+        assert c.colors_used() == 2
+        chk = has_strong_property(g, c)
+        assert chk.ok and len(chk.witnesses) == 40 * 39 // 2
+        for w in chk.witnesses.values():
+            w.validate(g, c)
+
 
 class TestColor2Connected3:
     def test_c5_needs_the_third_color(self):

@@ -292,7 +292,7 @@ class TestCliVerify:
 
     @staticmethod
     def _cap_graph(tmp_path):
-        """A graph on which the exponential path DFS runs into its step cap."""
+        """A graph on which the path DFS overruns its step budget."""
         rng = random.Random(0)
         g = corpus.random_connected(60, 140, rng)
         c = EdgeColoring.from_vector(g, 3, [rng.randint(1, 3) for _ in range(g.m)])
@@ -311,17 +311,15 @@ class TestCliVerify:
                 assert cert is not None and (cert.path[0], cert.path[-1]) == (u, v)
                 cert.validate(g, c)
 
-    def test_path_step_cap_is_inconclusive(self, tmp_path, capsys):
-        # The strong check's profile searches still run on the capped DFS: on
-        # this input they hit the step cap. That is a budget outcome (exit 3),
-        # not a failed property (exit 1).
-        _, _, gpath, cpath = self._cap_graph(tmp_path)
-        assert main(["verify", gpath, cpath, "--strong", "--json"]) == 3
-        out = capsys.readouterr()
-        assert "step cap" in out.err
-        result = json.loads(out.out)["result"]
-        assert result["inconclusive"] is True
-        assert "lower_bound" not in result
+    def test_path_step_cap_graph_is_not_strong(self, tmp_path, capsys, end_profiles):
+        # The strong check settles every pair too. This input is properly
+        # connected but not strongly: pair (0, 2) has only the profiles
+        # (2, 2) and (3, 2), which share their color at 2.
+        g, c, gpath, cpath = self._cap_graph(tmp_path)
+        assert main(["verify", gpath, cpath, "--strong", "--json"]) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"proper_connected": True, "strong": False, "failing_pair": [0, 2]}
+        assert end_profiles(g, c, 0, 2) == {(2, 2), (3, 2)}
 
 
 class TestCliSample:
