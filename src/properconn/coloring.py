@@ -224,7 +224,11 @@ class _ColorView:
 
 
 def _walk_arrivals(
-    inc: Incidence, colors: Sequence[int], source: int, target: int = -1
+    inc: Incidence,
+    colors: Sequence[int],
+    source: int | Sequence[tuple[int, int]],
+    target: int = -1,
+    arr: Optional[list[int]] = None,
 ) -> list[int]:
     """BFS over (vertex, last color) states of proper walks from ``source``.
 
@@ -233,27 +237,37 @@ def _walk_arrivals(
     precede. Returns ``arr`` with bit ``col`` of ``arr[w]`` set when some
     proper walk from the source arrives at ``w`` by an edge of color ``col``;
     the source starts with bit 0 (nothing to differ from yet), so
-    ``arr[w] != 0`` exactly when ``w`` is reachable. Given a ``target``, the
-    search stops as soon as a walk arrives there. Searches confined to part
-    of the graph pass an incidence listing only the edges they may use.
+    ``arr[w] != 0`` exactly when ``w`` is reachable. ``source`` may instead
+    list start states (vertex, last color), and ``arr``, a closed result of
+    an earlier call, is extended in place by the states these reach. Given a
+    ``target``, the search stops as soon as a walk arrives there (a start
+    state does not count). One FIFO list, read while it grows, holds the
+    states in breadth-first order, so an early stop leaves the same array as
+    a search that keeps one frontier list per level.
     """
-    arr = [0] * len(inc)
-    arr[source] = 1
-    frontier = [(source, 0)]
-    while frontier:
-        nxt = []
-        for v, last in frontier:
-            for w, i in inc[v]:
-                col = colors[i]
-                if col and col == last:
-                    continue
-                bit = 1 << col
-                if not arr[w] & bit:
-                    arr[w] |= bit
-                    if w == target:
-                        return arr
-                    nxt.append((w, col))
-        frontier = nxt
+    if arr is None:
+        arr = [0] * len(inc)
+    if type(source) is int:
+        arr[source] |= 1
+        queue = [(source, 0)]
+    else:
+        queue = []
+        for v, last in source:
+            bit = 1 << last
+            if not arr[v] & bit:
+                arr[v] |= bit
+                queue.append((v, last))
+    for v, last in queue:
+        for w, i in inc[v]:
+            col = colors[i]
+            if col and col == last:
+                continue
+            bit = 1 << col
+            if not arr[w] & bit:
+                arr[w] |= bit
+                if w == target:
+                    return arr
+                queue.append((w, col))
     return arr
 
 

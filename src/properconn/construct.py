@@ -90,6 +90,19 @@ def strong_2_coloring_bipartite(h: Graph) -> EdgeColoring:
     determined solely by the endpoint sides, so a directed u->v path and a
     reversed directed v->u path witness the strong property for each pair.
     """
+    c = _orientation_coloring(h)
+    check = has_strong_property(h, c)
+    if not check.ok:
+        raise InternalError(
+            f"orientation coloring missed the strong property at pair "
+            f"{check.failing_pair}"
+        )
+    return c
+
+
+def _orientation_coloring(h: Graph) -> EdgeColoring:
+    """The coloring of :func:`strong_2_coloring_bipartite`, unverified: a
+    caller that lifts it verifies the result once, on the host graph."""
     if h.n < 2:
         raise PreconditionError("need at least two vertices")
     if not is_connected(h):
@@ -125,14 +138,7 @@ def strong_2_coloring_bipartite(h: Graph) -> EdgeColoring:
         if not advanced:
             stack.pop()
 
-    c = EdgeColoring(2, {e: 1 + bip.side_of(t) for e, t in tail.items()})
-    check = has_strong_property(h, c)
-    if not check.ok:
-        raise InternalError(
-            f"orientation coloring missed the strong property at pair "
-            f"{check.failing_pair}"
-        )
-    return c
+    return EdgeColoring(2, {e: 1 + bip.side_of(t) for e, t in tail.items()})
 
 
 # -- monotone extension lemmas ---------------------------------------------------
@@ -242,7 +248,9 @@ def color_3ec(g: Graph) -> EdgeColoring:
             "max-cut spanning subgraph is not 2-edge-connected; the local "
             "maximality argument failed"
         )
-    c = lift_spanning_coloring(g, h, strong_2_coloring_bipartite(h))
+    # Lifting keeps every certificate of h's coloring, so one strong check on
+    # g verifies both steps.
+    c = lift_spanning_coloring(g, h, _orientation_coloring(h))
     check = has_strong_property(g, c)
     if not check.ok:
         raise InternalError(

@@ -7,6 +7,28 @@ wildcard walk check: uncolored edges act as free colors, so an unreachable
 pair under that relaxation can never become properly connected and the whole
 subtree dies. Exhausting the tree is therefore a proof of absence.
 
+The prune at a node that has just colored e = (a, b) with col asks, in order:
+
+* the replay: is the last dead pair (the conflict) still dead? One walk BFS
+  from one end of it. Walks only lose moves as edges get colors, so a pair
+  dead at one node tends to stay dead at the next.
+* the sweep: is some pair of a (or of b) with a touched vertex at distance
+  at least 2 dead? A walk from a crosses e first, continuing from state
+  (b, col), or leaves a by a color other than col, as a walk from state
+  (a, col) may, or leaves by another col-colored edge at a. So one closure of
+  {(a, col), (b, col)} serves both ends, and it is extended by an end's other
+  col-colored edges only when it misses a vertex that end needs.
+* the sibling check, which settles the replay without a BFS: when the
+  previous node was this node's sibling and died, the closed walk-state set
+  that proved its conflict dead is kept. The two colorings differ on e alone,
+  so the set still proves it if every transition across e out of the set
+  lands inside the set. A sweep's set serves as well as a BFS's: it holds
+  every state one step from its start, the far ends of the start's other
+  col-colored edges included.
+
+All three answer exactly as one BFS from each end would, so the tree, its
+node count and every conflict are those of the plain rule.
+
 ``pc_exact`` wraps the search in an ascending loop over palette sizes;
 ``sample_refute`` hammers a fixed palette with seeded random colorings and
 returns verified failure witnesses.
@@ -19,7 +41,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .graph import (
     Graph,
@@ -30,6 +52,7 @@ from .graph import (
 )
 from .coloring import (
     EdgeColoring,
+    Incidence,
     _walk_arrivals,
     has_strong_property,
     is_proper_connected,
@@ -72,6 +95,29 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
     return order
 
 
+def _end_reach(
+    inc: Incidence,
+    colors: Sequence[int],
+    base: list[int],
+    x: int,
+    i: int,
+) -> list[int]:
+    """Walk arrivals from ``x``, an end of edge ``i`` = (a, b) of color col,
+    given ``base``, the closure of {(a, col), (b, col)}.
+
+    A walk from x leaves by e (into the other end's state (., col)), by
+    another color (as a walk from state (x, col) may), or by another
+    col-colored edge at x: those edges' far states are the only seeds missing
+    from ``base``. Returns ``base`` itself when x has no such edge, else an
+    extended copy.
+    """
+    col = colors[i]
+    seeds = [(w, col) for w, j in inc[x] if colors[j] == col and j != i]
+    if not seeds:
+        return base
+    return _walk_arrivals(inc, colors, seeds, arr=base[:])
+
+
 class _Search:
     """One exists-style search: fixed graph, palette size, budget."""
 
@@ -90,6 +136,8 @@ class _Search:
         self.lower_for_budget = lower_for_budget
         self.order = _bfs_edge_order(g)
         self.eidx = {e: i for i, e in enumerate(self.order)}
+        # g.edges[j] is order[perm[j]]: leaves become vectors in g.edges order
+        self.perm = [self.eidx[e] for e in g.edges]
         # incidence in edge-order terms: vertex -> [(neighbor, order index)]
         self.inc = [
             tuple((w, self.eidx[(min(v, w), max(v, w))]) for w in g.adj[v])
@@ -102,23 +150,57 @@ class _Search:
         self.nodes = 0
         self.leaves = 0
         self.conflict: Optional[tuple[int, int]] = None
+        # closed walk-state set that proved ``conflict`` dead at the node last
+        # pruned, at depth ``dead_depth``; None once a node survives
+        self.dead: Optional[list[int]] = None
+        self.dead_depth = -1
 
-    def _prune(self, e: tuple[int, int]) -> bool:
-        """True when the partial coloring provably cannot be completed."""
-        # Uncolored edges (color 0) act as free colors in the walk search.
+    def _prune(
+        self, depth: int, col: int, needs: Sequence[tuple[int, list[int]]]
+    ) -> bool:
+        """True when the partial coloring provably cannot be completed.
+
+        Edge ``order[depth]`` = (a, b) has just been colored ``col``; ``needs``
+        pairs each end with the touched vertices at distance >= 2 from it, in
+        ``touched_stack`` order. Uncolored edges (color 0) act as free colors
+        in the walk search.
+        """
+        inc, ecolor = self.inc, self.ecolor
+        a, b = self.order[depth]
         cf = self.conflict
-        if cf is not None and not _walk_arrivals(self.inc, self.ecolor, *cf)[cf[1]]:
-            return True
-        for x in e:
-            dx = self.dist[x]
-            need = [y for y in self.touched_stack if dx[y] >= 2]
-            if not need:
-                continue
-            reach = _walk_arrivals(self.inc, self.ecolor, x)
-            for y in need:
-                if not reach[y]:
-                    self.conflict = (x, y) if x < y else (y, x)
+        if cf is not None:
+            dead = self.dead
+            if dead is not None and self.dead_depth == depth:
+                # The previous sibling died on cf with the closed state set
+                # ``dead`` and differs from this node on e alone: if every
+                # e-transition out of the set stays inside, cf is dead here.
+                bit = 1 << col
+                if (not dead[a] & ~bit or dead[b] & bit) and (
+                    not dead[b] & ~bit or dead[a] & bit
+                ):
                     return True
+            arr = _walk_arrivals(inc, ecolor, cf[0], cf[1])
+            if not arr[cf[1]]:
+                self.dead, self.dead_depth = arr, depth
+                return True
+        # Endpoint sweep: one closure of {(a, col), (b, col)} serves both
+        # ends, extended by an end's own seeds only when it misses a vertex
+        # that end needs (see _end_reach).
+        if needs:
+            base = _walk_arrivals(inc, ecolor, [(a, col), (b, col)])
+            for x, need in needs:
+                for y in need:
+                    if not base[y]:
+                        break
+                else:
+                    continue
+                reach = _end_reach(inc, ecolor, base, x, depth)
+                for y in need:
+                    if not reach[y]:
+                        self.conflict = (x, y) if x < y else (y, x)
+                        self.dead, self.dead_depth = reach, depth
+                        return True
+        self.dead = None
         return False
 
     def run(self) -> Optional[EdgeColoring]:
@@ -134,8 +216,9 @@ class _Search:
     def _descend(self, depth: int, maxused: int) -> Optional[EdgeColoring]:
         if depth == self.g.m:
             self.leaves += 1
-            cand = EdgeColoring(
-                self.k, {e: self.ecolor[i] for i, e in enumerate(self.order)}
+            ecolor = self.ecolor
+            cand = EdgeColoring.from_vector(
+                self.g, self.k, [ecolor[i] for i in self.perm]
             )
             ok, pair = is_proper_connected(self.g, cand)
             if not ok:
@@ -152,6 +235,12 @@ class _Search:
             if self.touched[v] == 0:
                 self.touched_stack.append(v)
             self.touched[v] += 1
+        needs = []
+        for x in e:
+            dx = self.dist[x]
+            need = [y for y in self.touched_stack if dx[y] >= 2]
+            if need:
+                needs.append((x, need))
         try:
             for col in range(1, min(self.k, maxused + 1) + 1):
                 self.nodes += 1
@@ -160,7 +249,7 @@ class _Search:
                         self.k, self.lower_for_budget, self.nodes
                     )
                 self.ecolor[depth] = col
-                if not self._prune(e):
+                if not self._prune(depth, col, needs):
                     got = self._descend(depth + 1, max(maxused, col))
                     if got is not None:
                         return got

@@ -10,6 +10,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from properconn import (
     EdgeColoring,
     ExtensionError,
@@ -156,6 +158,7 @@ def test_criterion_4_counterexample_upper_bound():
     _passed("criterion-4 three-color upper bound", t0, "both variants verified")
 
 
+@pytest.mark.slow
 def test_criterion_5_counterexample_lower_bound_evidence():
     t0 = time.perf_counter()
     mini_g, mini_spec = build_counterexample("mini", 1)
@@ -285,6 +288,7 @@ def test_criterion_6_lemma_regressions():
             f"200 lifts, {extended}+{fallbacks} extensions, {len(bip)} bipartite")
 
 
+@pytest.mark.slow
 def test_criterion_7_checker_soundness():
     t0 = time.perf_counter()
     graphs = [g for n in range(1, 8) for g in corpus.connected_graphs(n) if g.m <= 12]

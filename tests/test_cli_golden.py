@@ -38,6 +38,17 @@ def _verify_inputs():
     return {"strong": (strong, strong_c), "failing": (failing, failing_c)}
 
 
+def _exact_inputs():
+    """Graphs for ``pc exact``: a seeded tree with maximum degree 4 and a
+    small cycle."""
+    rng = random.Random(7)
+    while True:
+        tree = corpus.random_connected(11, 10, rng)
+        if tree.max_degree() == 4:
+            break
+    return {"tree4": tree, "cycle6": corpus.cycle(6)}
+
+
 def _files(d: pathlib.Path) -> dict[str, str]:
     """Write every input file into ``d``; name -> path."""
     paths = {}
@@ -58,6 +69,8 @@ def _files(d: pathlib.Path) -> dict[str, str]:
     for name, (g, c) in _verify_inputs().items():
         write(f"{name}.txt", format_graph(g, "edgelist"))
         write(f"{name}-c.json", format_coloring(c))
+    for name, g in _exact_inputs().items():
+        write(f"{name}.txt", format_graph(g, "edgelist"))
     return paths
 
 
@@ -74,6 +87,10 @@ CASES = {
     "verify-failing-strong": lambda f: ["verify", f["failing.txt"],
                                         f["failing-c.json"], "--strong"],
     "color-2conn-mini": lambda f: ["color", f["mini.txt"], "--method", "2conn"],
+    "exact-tree4": lambda f: ["exact", f["tree4.txt"]],
+    "exact-failing": lambda f: ["exact", f["failing.txt"]],
+    "exact-cycle6-strong": lambda f: ["exact", f["cycle6.txt"], "--strong"],
+    "exact-mini-budget": lambda f: ["exact", f["mini.txt"], "--budget-nodes", "5000"],
 }
 
 

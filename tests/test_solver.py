@@ -17,6 +17,7 @@ from properconn import (
     pc_exact,
     sample_refute,
 )
+from properconn import coloring, solver
 from properconn.graph import connectivity
 
 import oracles
@@ -207,3 +208,207 @@ class TestBounds:
                 continue
             done += 1
             assert pc_exact(g, k_max=3).value <= 3
+
+
+class _Wild:
+    """A partial coloring as ``oracles.brute_walk_reach`` reads it: an
+    uncolored edge gets a fresh color at each look, so it differs from every
+    edge, itself included, as color 0 does in the walk BFS."""
+
+    def __init__(self, g, colors):
+        self.col = dict(zip(g.edges, colors))
+
+    def color(self, u, v):
+        return self.col[(min(u, v), max(u, v))] or object()
+
+
+def _levelwise_arrivals(inc, colors, source, target=-1):
+    """The walk BFS as it was written before it read one queue: one frontier
+    list per level."""
+    arr = [0] * len(inc)
+    arr[source] = 1
+    frontier = [(source, 0)]
+    while frontier:
+        nxt = []
+        for v, last in frontier:
+            for w, i in inc[v]:
+                col = colors[i]
+                if col and col == last:
+                    continue
+                bit = 1 << col
+                if not arr[w] & bit:
+                    arr[w] |= bit
+                    if w == target:
+                        return arr
+                    nxt.append((w, col))
+        frontier = nxt
+    return arr
+
+
+def _random_partial(rng):
+    n = rng.randint(4, 12)
+    g = corpus.random_connected(n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), rng)
+    k = rng.randint(1, 3)
+    colors = [rng.randint(1, k) if rng.random() < 0.7 else 0 for _ in range(g.m)]
+    return g, colors
+
+
+class TestPrunePieces:
+    """The exact search's prune: the walk BFS with start states, the endpoint
+    sweep's shared closure, and the pruned sibling's check across one edge."""
+
+    def test_single_queue_bfs_matches_levelwise(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g, colors = _random_partial(rng)
+            inc = coloring._incidence(g)
+            for s in range(g.n):
+                for t in (-1, rng.randrange(g.n)):
+                    got = coloring._walk_arrivals(inc, colors, s, t)
+                    assert got == _levelwise_arrivals(inc, colors, s, t)
+
+    def test_shared_sweep_closure_gives_each_ends_reach(self):
+        # reach(a) = closure of {(a, col), (b, col)} plus a's other col-edges'
+        # far states; the same closure, extended by b's, gives reach(b).
+        rng = random.Random(43)
+        extended = 0
+        for _ in range(400):
+            g, colors = _random_partial(rng)
+            inc = coloring._incidence(g)
+            i = rng.randrange(g.m)
+            a, b = g.edges[i]
+            colors[i] = col = rng.randint(1, 3)
+            base = coloring._walk_arrivals(inc, colors, [(a, col), (b, col)])
+            for x in (a, b):
+                reach = solver._end_reach(inc, colors, base, x, i)
+                extended += reach is not base
+                got = {w for w, bits in enumerate(reach) if bits}
+                assert got == {
+                    w for w, bits in enumerate(coloring._walk_arrivals(inc, colors, x)) if bits
+                }
+                assert got == oracles.brute_walk_reach(g, _Wild(g, colors), x)
+            assert base == coloring._walk_arrivals(inc, colors, [(a, col), (b, col)])
+        assert extended > 50
+
+    def test_prune_matches_the_two_bfs_sweep_at_every_node(self, monkeypatch):
+        # Every decision and conflict of the prune equals the replay-then-two-
+        # BFS rule it replaces. A pruned node's next sibling is settled
+        # without a BFS only when its closed set holds across e; the check
+        # must fail (and the BFS decide) when the conflict comes alive again.
+        calls = [0]
+        real_bfs = solver._walk_arrivals
+
+        def counting_bfs(*args, **kwargs):
+            calls[0] += 1
+            return real_bfs(*args, **kwargs)
+
+        def old_rule(s, depth):
+            cf = s.conflict
+            if cf is not None and not real_bfs(s.inc, s.ecolor, *cf)[cf[1]]:
+                return True, cf
+            for x in s.order[depth]:
+                need = [y for y in s.touched_stack if s.dist[x][y] >= 2]
+                if need:
+                    reach = real_bfs(s.inc, s.ecolor, x)
+                    for y in need:
+                        if not reach[y]:
+                            return True, (min(x, y), max(x, y))
+            return False, cf
+
+        seen = {"settled_by_check": 0, "check_failed_pruned": 0, "check_failed_alive": 0}
+        real_prune = solver._Search._prune
+
+        def checked_prune(self, depth, col, needs):
+            want = old_rule(self, depth)
+            sibling = self.dead is not None and self.dead_depth == depth
+            before = calls[0]
+            got = real_prune(self, depth, col, needs)
+            assert (got, self.conflict) == want
+            if sibling:
+                if calls[0] == before:
+                    seen["settled_by_check"] += 1
+                else:
+                    seen["check_failed_pruned" if got else "check_failed_alive"] += 1
+            return got
+
+        monkeypatch.setattr(solver, "_walk_arrivals", counting_bfs)
+        monkeypatch.setattr(solver._Search, "_prune", checked_prune)
+        rng = random.Random(47)
+        for _ in range(30):
+            n = rng.randint(6, 9)
+            g = corpus.random_connected(n, rng.randint(n - 1, n + 3), rng)
+            pc_exact(g)
+        pc_exact(corpus.petersen())
+        assert all(seen.values()), seen
+
+    def test_sibling_check_fails_when_the_new_color_opens_the_pair(self):
+        # Path 0-1-2-3 with (0, 1) colored 1: coloring (1, 2) with 1 kills the
+        # pair (0, 2), and the sibling that colors it 2 reopens it.
+        g = corpus.path_graph(4)
+        s = solver._Search(g, 2, False, None, 1)
+        assert s.order == [(0, 1), (1, 2), (2, 3)]
+        s.ecolor[0] = 1
+        s.touched_stack = [0, 1, 2]
+        needs = [(2, [0])]  # the touched vertices two or more steps from an end
+        s.ecolor[1] = 1
+        assert s._prune(1, 1, needs) and s.conflict == (0, 2)
+        assert s.dead is not None and s.dead_depth == 1
+        s.ecolor[1] = 2
+        assert not s._prune(1, 2, needs)
+        assert s.dead is None
+
+
+# Node and leaf counts per palette size k = 1, 2, ... up to pc, and the witness
+# as a vector in g.edges order, recorded from the search before its prune
+# shared one BFS between an edge's ends. Any change to the search tree shows
+# here in seconds.
+_TREE_PINS = [
+    ([(4, 0), (93, 0), (916, 41), (2828, 139)], (1, 2, 3, 4, 2, 1, 1, 3, 1)),
+    ([(2, 0), (29, 0), (348, 19), (421, 2)], (1, 2, 1, 1, 2, 2, 4, 3)),
+    ([(2, 0), (109, 1), (2022, 56), (3995, 76)], (1, 2, 1, 1, 1, 2, 3, 4, 3, 1)),
+    ([(4, 0), (25, 1), (214, 7), (608, 9)], (1, 2, 2, 1, 1, 3, 2, 4)),
+    ([(4, 0), (31, 1), (268, 6), (768, 13)], (1, 1, 3, 2, 3, 2, 3, 4)),
+    ([(4, 0), (193, 22), (451, 71)], (1, 1, 2, 2, 1, 3, 2, 1, 1)),
+    ([(3, 0), (109, 4), (60, 5)], (1, 1, 2, 1, 2, 2, 3, 1, 2)),
+    ([(3, 0), (27, 1)], (1, 1, 1, 2, 1, 1, 1, 2, 2, 1)),
+    ([(7, 0), (86, 4)], (1, 1, 1, 1, 2, 1, 1, 1, 1, 2)),
+    ([(3, 0), (141, 10), (54, 4)], (1, 1, 2, 3, 2, 1, 1, 1, 3)),
+]
+
+
+def _pinned_graphs():
+    rng = random.Random(11)
+    graphs = []
+    for _ in range(5):
+        n = rng.randint(9, 11)
+        graphs.append(corpus.random_connected(n, n - 1, rng))
+    for _ in range(5):
+        n = rng.randint(8, 9)
+        graphs.append(corpus.random_connected(n, rng.randint(n, n + 2), rng))
+    return graphs
+
+
+class TestSearchTreePins:
+    @pytest.mark.parametrize("i", range(len(_TREE_PINS)))
+    def test_node_and_leaf_counts(self, i):
+        g = _pinned_graphs()[i]
+        want, vec = _TREE_PINS[i]
+        got = []
+        for k in range(1, len(want) + 1):
+            stats = {}
+            found = exists_pc_coloring(g, k, stats_out=stats)
+            got.append((stats["nodes"], stats["leaves"]))
+            assert (found is not None) == (k == len(want))
+        assert got == want
+        assert found.as_vector(g) == vec
+        res = pc_exact(g)
+        assert res.value == len(want)
+        assert res.stats["per_k"] == {k: nodes for k, (nodes, _) in enumerate(want, 1)}
+        assert res.coloring == found
+
+    def test_mini_strong_budget(self, mini):
+        stats = {}
+        with pytest.raises(SearchBudgetExceeded) as ei:
+            exists_pc_coloring(mini, 2, require_strong=True, budget_nodes=49382, stats_out=stats)
+        assert ei.value.nodes == 49383
+        assert stats["leaves"] == 1396
