@@ -110,6 +110,25 @@ class EdgeColoring:
         return EdgeColoring(self.k, {e: perm[c] for e, c in self.assignment.items()})
 
 
+def _to_host(colors: dict[Edge, int], vmap: Sequence[int]) -> dict[Edge, int]:
+    """A subgraph's edge colors keyed by host ids; ``vmap[i]`` is the host id
+    of local vertex ``i``."""
+    return {_norm(vmap[x], vmap[y]): col for (x, y), col in colors.items()}
+
+
+def _to_local(
+    colors: dict[Edge, int], sub: Graph, vmap: Sequence[int]
+) -> dict[Edge, int]:
+    """The colors of ``sub``'s edges, in ``sub.edges`` order, read from a
+    host-keyed ``colors``; ``sub``'s edges that ``colors`` lacks are left out."""
+    out = {}
+    for x, y in sub.edges:
+        key = _norm(vmap[x], vmap[y])
+        if key in colors:
+            out[(x, y)] = colors[key]
+    return out
+
+
 @dataclass(frozen=True)
 class ProperPathCertificate:
     """A vertex path together with its edge colors."""

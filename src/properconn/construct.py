@@ -50,6 +50,8 @@ from .graph import (
 )
 from .coloring import (
     EdgeColoring,
+    _to_host,
+    _to_local,
     has_strong_property,
     is_proper_connected,
 )
@@ -330,7 +332,7 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
     class_data: dict[int, tuple] = {}
 
     def chain_class(ci: int):
-        """(induced subgraph, host->local map, side lookup, base coloring)."""
+        """(host->local map, side lookup, base coloring keyed by host ids)."""
         if ci not in class_data:
             cl = members[ci]
             sub, vmap = g.induced(cl)
@@ -342,8 +344,8 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
                 class_data[ci] = None
             else:
                 local = {h: l for l, h in enumerate(vmap)}
-                base = strong_2_coloring_bipartite(sub)
-                class_data[ci] = (vmap, local, bip.side_of, base)
+                base = strong_2_coloring_bipartite(sub).assignment
+                class_data[ci] = (local, bip.side_of, _to_host(base, vmap))
         return class_data[ci]
 
     asg: dict[Edge, int] = {}
@@ -355,11 +357,9 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
         if sub.m == 0:
             continue
         if is_connected(sub) and not bridges(sub) and bipartition(sub) is not None:
-            for (x, y), col in strong_2_coloring_bipartite(sub).assignment.items():
-                asg[_norm(vmap[x], vmap[y])] = col
+            asg.update(_to_host(strong_2_coloring_bipartite(sub).assignment, vmap))
         else:
-            for x, y in sub.edges:
-                asg[_norm(vmap[x], vmap[y])] = 3
+            asg.update(_to_host(dict.fromkeys(sub.edges, 3), vmap))
 
     def endpoint_in(eid: int, ci: int) -> int:
         u, v = qedges[eid]
@@ -385,7 +385,7 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
             data = chain_class(mid)
             if data is None:
                 return False
-            _, local, side_of, _ = data
+            local, side_of, _ = data
             s_in, s_out = side_of(local[p_in]), side_of(local[p_out])
             sigmas.append(s_in ^ 1 ^ bits[-1])
             bits.append(bits[-1] ^ s_in ^ s_out ^ 1)
@@ -397,9 +397,9 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
         for i, mid in enumerate(mids):
             if sigmas[i] is None:
                 continue
-            vmap, _, _, base = chain_class(mid)
-            for (x, y), col in base.assignment.items():
-                asg[_norm(vmap[x], vmap[y])] = col if sigmas[i] == 0 else 3 - col
+            _, _, base = chain_class(mid)
+            for e, col in base.items():
+                asg[e] = col if sigmas[i] == 0 else 3 - col
         return True
 
     if not branch_set:
@@ -744,13 +744,10 @@ def grow_by_degree2_additions(
         raise PreconditionError("seed needs at least two vertices")
     sub, vmap = g.induced(current)
     asg: dict[Edge, int] = dict(c0.assignment)
-    want = {_norm(vmap[x], vmap[y]) for x, y in sub.edges}
-    if set(asg) != want:
+    local = _to_local(asg, sub, vmap)
+    if len(local) != sub.m or len(asg) != sub.m:
         raise PreconditionError("seed coloring must cover exactly the induced edges")
-    local = EdgeColoring(
-        2, {(x, y): asg[_norm(vmap[x], vmap[y])] for x, y in sub.edges}
-    )
-    ok, pair = is_proper_connected(sub, local)
+    ok, pair = is_proper_connected(sub, EdgeColoring(2, local))
     if not ok:
         raise PreconditionError(f"seed coloring leaves {pair} unconnected")
     chain = [tuple(current)]
@@ -768,14 +765,8 @@ def grow_by_degree2_additions(
             raise _stall_error(g, cur)
         cur.add(add)
         sub, vmap = g.induced(cur)
-        base: dict[Edge, int] = {}
-        fresh: list[Edge] = []
-        for x, y in sub.edges:
-            key = _norm(vmap[x], vmap[y])
-            if key in asg:
-                base[(x, y)] = asg[key]
-            else:
-                fresh.append((x, y))
+        base = _to_local(asg, sub, vmap)
+        fresh = [e for e in sub.edges if e not in base]
         found = _extend_search(sub, base, fresh)
         if found is None:
             solved = exists_pc_coloring(sub, 2, budget_nodes=2_000_000)
@@ -784,13 +775,9 @@ def grow_by_degree2_additions(
                     f"subgraph on {sorted(cur)} admits no 2-coloring after "
                     f"absorbing {add} — falsifies the addition lemma"
                 )
-            asg = {
-                _norm(vmap[x], vmap[y]): col
-                for (x, y), col in solved.assignment.items()
-            }
+            asg = _to_host(solved.assignment, vmap)
         else:
-            for x, y in fresh:
-                asg[_norm(vmap[x], vmap[y])] = found.color(x, y)
+            asg.update(_to_host(found.assignment, vmap))
         chain.append(tuple(sorted(cur)))
     if chain_out is not None:
         chain_out.extend(chain)
@@ -805,8 +792,7 @@ def _strong_on_local(
 ) -> dict[Edge, int]:
     """Strong 2-coloring of a small scaffold graph, keyed back to host ids."""
     h = Graph(n, edges)
-    c = strong_2_coloring_bipartite(h)
-    return {_norm(labels[x], labels[y]): col for (x, y), col in c.assignment.items()}
+    return _to_host(strong_2_coloring_bipartite(h).assignment, labels)
 
 
 def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColoring]:
@@ -835,9 +821,7 @@ def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColori
     h = Graph(len(verts), scaffold)
     sub, vmap = g.induced(verts)
     c0 = lift_spanning_coloring(sub, h, strong_2_coloring_bipartite(h))
-    return verts, EdgeColoring(
-        2, {_norm(vmap[x], vmap[y]): col for (x, y), col in c0.assignment.items()}
-    )
+    return verts, EdgeColoring(2, _to_host(c0.assignment, vmap))
 
 
 def _seed_matched(
@@ -858,7 +842,6 @@ def _seed_matched(
         {u1, v1, u2, v2, *q20, *(v for e in matched for v in e)}
     )
     sub, vmap = g.induced(verts)
-    loc = {v: i for i, v in enumerate(vmap)}
     try:
         if not q20:
             raise InternalError("far side lost its common neighbors")
@@ -884,14 +867,10 @@ def _seed_matched(
         )
         asg[_norm(u1, u2)] = 1
         asg[_norm(v1, v2)] = 2
-        scaffold = Graph(
-            len(verts), [(loc[a], loc[b]) for a, b in asg]
+        local = _to_local(asg, sub, vmap)  # every scaffold edge is a host edge
+        c0 = lift_spanning_coloring(
+            sub, Graph(len(verts), local), EdgeColoring(2, local)
         )
-        local = EdgeColoring(
-            2, {(loc[a], loc[b]) if loc[a] < loc[b] else (loc[b], loc[a]): col
-                for (a, b), col in asg.items()}
-        )
-        c0 = lift_spanning_coloring(sub, scaffold, local)
     except (BridgeError, OddCycleError, PreconditionError):
         solved = exists_pc_coloring(sub, 2, budget_nodes=2_000_000)
         if solved is None:
@@ -900,9 +879,7 @@ def _seed_matched(
                 "matched-seed step"
             )
         c0 = solved
-    return verts, EdgeColoring(
-        2, {_norm(vmap[x], vmap[y]): col for (x, y), col in c0.assignment.items()}
-    )
+    return verts, EdgeColoring(2, _to_host(c0.assignment, vmap))
 
 
 def _color_case1(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
@@ -920,9 +897,7 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
     core = dec.core
     assert core is not None
     hsub, hmap = core.as_graph()
-    asg: dict[Edge, int] = {}
-    for (x, y), col in strong_2_coloring_bipartite(hsub).assignment.items():
-        asg[_norm(hmap[x], hmap[y])] = col
+    asg = _to_host(strong_2_coloring_bipartite(hsub).assignment, hmap)
     vcore = set(core.vertices)
     covered_now = set(asg)
     for u, v in g.edges:
@@ -946,10 +921,7 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
             asg[_norm(y, ay)] = 1
     body = sorted(set(range(g.n)) - set(dec.singletons))
     sub, vmap = g.induced(body)
-    local = EdgeColoring(
-        2, {(x, y): asg[_norm(vmap[x], vmap[y])] for x, y in sub.edges}
-    )
-    ok, pair = is_proper_connected(sub, local)
+    ok, pair = is_proper_connected(sub, EdgeColoring(2, _to_local(asg, sub, vmap)))
     if not ok:
         raise InternalError(
             f"core-plus-strays coloring leaves {tuple(vmap[t] for t in pair)} "

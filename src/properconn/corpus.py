@@ -6,9 +6,9 @@ and trees, and seeded random generators. The enumerators back the library's
 test corpora; the named builders are handy everywhere.
 
 Enumeration is exhaustive-up-to-isomorphism through n = 7 (graphs) and n = 9+
-(trees); the canonical form is a vectorized minimum over all vertex
-permutations of the edge bitmask, so counts can be cross-checked against the
-known sequences.
+(trees); the canonical form is the least edge bitmask over all vertex
+labelings, found by a branch and bound, so counts can be cross-checked against
+the known sequences.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import itertools
 import random
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from .graph import Graph, PreconditionError, is_connected
 
@@ -149,28 +147,37 @@ def _slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P[p, t] = source slot whose bit lands in slot t under permutation p,
-    plus the slot weight vector for packing bit rows into integers."""
-    slots = _slots(n)
-    idx = {e: i for i, e in enumerate(slots)}
-    perms = list(itertools.permutations(range(n)))
-    P = np.empty((len(perms), len(slots)), dtype=np.int64)
-    for pi, p in enumerate(perms):
-        for t, (a, b) in enumerate(slots):
-            pa, pb = p[a], p[b]
-            P[pi, t] = idx[(pa, pb) if pa < pb else (pb, pa)]
-    w = (np.int64(1) << np.arange(len(slots), dtype=np.int64))
-    return P, w
+def _canon_mask(adj: list[int]) -> int:
+    """Least edge mask over all labelings of the graph with adjacency bitsets
+    ``adj``; bit ``i`` of a mask is slot ``_slots(n)[i]``.
 
+    Label a's slots (a, b > a) sit above every slot of a smaller label, with
+    (a, n-1) highest. So labels go out from n-1 down to 0, and each step keeps
+    only the unlabeled vertices whose adjacency row to the labeled ones is
+    least. Ties branch, and a branch whose fixed high bits already exceed the
+    best mask found is dropped.
+    """
+    n = len(adj)
+    offs = [a * n - a * (a + 1) // 2 for a in range(n)]  # slot (a, a+1)
+    best = -1
 
-def _canon_batch(bit_rows: np.ndarray, n: int) -> np.ndarray:
-    """Canonical mask per row: min over permutations of the packed bitmask."""
-    P, w = _perm_table(n)
-    permuted = bit_rows[:, P]  # (rows, perms, slots)
-    vals = permuted @ w
-    return vals.min(axis=1)
+    def label(a: int, rows: dict[int, int], mask: int) -> None:
+        # rows[u]: u's adjacency to labels n-1..a+1, most significant first
+        nonlocal best
+        if a < 0:
+            best = mask
+            return
+        low = min(rows.values())
+        mask |= low << offs[a]
+        if best >= 0 and mask >> offs[a] > best >> offs[a]:
+            return
+        for v, r in rows.items():
+            if r == low:
+                rest = {u: q << 1 | adj[u] >> v & 1 for u, q in rows.items() if u != v}
+                label(a - 1, rest, mask)
+
+    label(n - 1, dict.fromkeys(range(n), 0), 0)
+    return best
 
 
 def _mask_to_edges(mask: int, n: int) -> list[tuple[int, int]]:
@@ -187,19 +194,16 @@ def _graph_masks(n: int) -> tuple[int, ...]:
         )
     if n == 1:
         return (0,)
-    slots = _slots(n)
-    idx = {e: i for i, e in enumerate(slots)}
     out: set[int] = set()
     for mask in _graph_masks(n - 1):
-        base = np.zeros(len(slots), dtype=np.int64)
-        for e in _mask_to_edges(mask, n - 1):
-            base[idx[e]] = 1
-        rows = np.repeat(base[None, :], 1 << (n - 1), axis=0)
+        adj = [0] * (n - 1)
+        for u, v in _mask_to_edges(mask, n - 1):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         for s in range(1 << (n - 1)):
-            for v in range(n - 1):
-                if (s >> v) & 1:
-                    rows[s, idx[(v, n - 1)]] = 1
-        out.update(int(x) for x in _canon_batch(rows, n))
+            # vertex n-1 joins the vertices in s
+            grown = [a | (s >> v & 1) << (n - 1) for v, a in enumerate(adj)]
+            out.add(_canon_mask(grown + [s]))
     return tuple(sorted(out))
 
 

@@ -47,6 +47,7 @@ from .coloring import (
     _ColorView,
     _first_unconnected_pair,
     _one_path,
+    _to_local,
     _walk_arrivals,
 )
 
@@ -543,15 +544,7 @@ def find_one_way_vertex(
     p = spec.pairs[pair_index]
     exit_start, exit_end = spec.exits_of(pair_index)
     sub, vmap, loc = _region_graph(g, spec, pair_index)
-    subc = EdgeColoring(
-        c.k,
-        {
-            (loc[u], loc[v]) if loc[u] < loc[v] else (loc[v], loc[u]): c.color(u, v)
-            for u, v in g.edges
-            if u in loc and v in loc
-        },
-    )
-    view = _ColorView(sub, subc)
+    view = _ColorView(sub, EdgeColoring(c.k, _to_local(c.assignment, sub, vmap)))
     col_start = c.color(*exit_start)
     col_end = c.color(*exit_end)
     for v in p.region():

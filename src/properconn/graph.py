@@ -286,33 +286,13 @@ def all_pairs_distances(g: Graph) -> list[list[int]]:
 # -- bipartiteness ----------------------------------------------------------
 
 
-def bipartition(g: Graph) -> Optional[Bipartition]:
-    """Return a 2-coloring of the vertices, or None if an odd cycle exists.
+def _two_color(g: Graph) -> tuple[list[int], list[int], Optional[Edge]]:
+    """BFS 2-coloring, component by component from each least unvisited vertex.
 
-    Works per component; side_u collects the side of each component's least
-    vertex.
+    Returns ``(color, parent, clash)``: BFS-tree parents (-1 at roots), and the
+    first edge ``(u, w)`` found with both ends on one side, where the sweep
+    stops; ``clash`` is None when the graph is bipartite.
     """
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    q.append(w)
-                elif color[w] == color[u]:
-                    return None
-    side_u = frozenset(v for v in range(g.n) if color[v] == 0)
-    side_v = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(side_u, side_v)
-
-
-def odd_cycle(g: Graph) -> Optional[list[int]]:
-    """An odd cycle as a vertex list, or None when bipartite."""
     color = [-1] * g.n
     parent = [-1] * g.n
     for s in range(g.n):
@@ -328,25 +308,48 @@ def odd_cycle(g: Graph) -> Optional[list[int]]:
                     parent[w] = u
                     q.append(w)
                 elif color[w] == color[u]:
-                    # climb to the lowest common ancestor of u and w
-                    pu, pw = [u], [w]
-                    su, sw = {u}, {w}
-                    while True:
-                        if parent[pu[-1]] >= 0:
-                            pu.append(parent[pu[-1]])
-                            su.add(pu[-1])
-                            if pu[-1] in sw:
-                                break
-                        if parent[pw[-1]] >= 0:
-                            pw.append(parent[pw[-1]])
-                            sw.add(pw[-1])
-                            if pw[-1] in su:
-                                break
-                    meet = pu[-1] if pu[-1] in sw else pw[-1]
-                    cu = pu[: pu.index(meet) + 1]
-                    cw = pw[: pw.index(meet) + 1]
-                    return cu + cw[-2::-1]
-    return None
+                    return color, parent, (u, w)
+    return color, parent, None
+
+
+def bipartition(g: Graph) -> Optional[Bipartition]:
+    """Return a 2-coloring of the vertices, or None if an odd cycle exists.
+
+    Works per component; side_u collects the side of each component's least
+    vertex.
+    """
+    color, _, clash = _two_color(g)
+    if clash is not None:
+        return None
+    side_u = frozenset(v for v in range(g.n) if color[v] == 0)
+    side_v = frozenset(v for v in range(g.n) if color[v] == 1)
+    return Bipartition(side_u, side_v)
+
+
+def odd_cycle(g: Graph) -> Optional[list[int]]:
+    """An odd cycle as a vertex list, or None when bipartite."""
+    _, parent, clash = _two_color(g)
+    if clash is None:
+        return None
+    u, w = clash
+    # climb to the lowest common ancestor of u and w
+    pu, pw = [u], [w]
+    su, sw = {u}, {w}
+    while True:
+        if parent[pu[-1]] >= 0:
+            pu.append(parent[pu[-1]])
+            su.add(pu[-1])
+            if pu[-1] in sw:
+                break
+        if parent[pw[-1]] >= 0:
+            pw.append(parent[pw[-1]])
+            sw.add(pw[-1])
+            if pw[-1] in su:
+                break
+    meet = pu[-1] if pu[-1] in sw else pw[-1]
+    cu = pu[: pu.index(meet) + 1]
+    cw = pw[: pw.index(meet) + 1]
+    return cu + cw[-2::-1]
 
 
 # -- bridges / cut vertices --------------------------------------------------

@@ -300,7 +300,8 @@ def pc_exact(
 
     Tries k = 1, 2, ... up to ``k_max`` (default: the edge count). Raises a
     typed error on disconnected input and :class:`SearchBudgetExceeded`
-    (inconclusive, with the proven lower bound) if a budget runs out. With
+    (inconclusive, with the proven lower bound and the nodes spent over every
+    palette size tried) if a budget runs out. With
     ``require_strong`` the target is the strong variant of the invariant.
     """
     if g.n >= 2 and not is_connected(g):
@@ -314,10 +315,13 @@ def pc_exact(
         search = _Search(g, k, require_strong, budget_left, lower_for_budget=k)
         try:
             got = search.run()
-        finally:
-            stats["per_k"][k] = search.nodes
-            stats["nodes"] += search.nodes
-            stats["runtime_s"] = time.perf_counter() - t0
+        except SearchBudgetExceeded as exc:
+            raise SearchBudgetExceeded(
+                k, exc.lower, stats["nodes"] + search.nodes
+            ) from None
+        stats["per_k"][k] = search.nodes
+        stats["nodes"] += search.nodes
+        stats["runtime_s"] = time.perf_counter() - t0
         if budget_left is not None:
             budget_left -= search.nodes
         if got is not None:

@@ -1,9 +1,15 @@
 """Named families, exhaustive isomorph-free enumeration, seeded randomness."""
 
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import properconn
 from properconn import PreconditionError, corpus
 from properconn.graph import (
     bipartition,
@@ -105,6 +111,49 @@ class TestEnumeration:
             gs = corpus.all_graphs(n)
             for a, b in itertools.combinations(gs, 2):
                 assert not nx.is_isomorphic(oracles.nxg(a), oracles.nxg(b))
+
+    def test_masks_match_pinned_digests(self):
+        # sha256 of each n's canonical masks, joined by commas: the same
+        # graphs in the same order as the recorded enumeration
+        pinned = {
+            1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+            2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+            3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+            4: "ee8879922ff2981c1ef94a44feef8f72d7beb0c9cad9d539f0d678d3877a7d26",
+            5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
+            6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
+            7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+        }
+        for n, digest in pinned.items():
+            text = ",".join(map(str, corpus._graph_masks(n)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+    # the hash only buckets the graphs; both sides use the installed version
+    @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+    def test_each_atlas_graph_matches_one_enumerated_graph(self):
+        import networkx as nx
+
+        buckets: dict[str, list] = {}
+        for n in range(1, 8):
+            for g in corpus.all_graphs(n):
+                h = oracles.nxg(g)
+                buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        atlas = [a for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 7]
+        assert len(atlas) == sum(map(len, buckets.values()))
+        for a in atlas:
+            bucket = buckets.get(nx.weisfeiler_lehman_graph_hash(a), [])
+            assert sum(1 for h in bucket if nx.is_isomorphic(a, h)) == 1
+
+    def test_import_leaves_numpy_out(self):
+        src = pathlib.Path(properconn.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, properconn; print('numpy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_enumeration_caps_at_seven(self):
         with pytest.raises(PreconditionError, match="n = 7"):

@@ -1,5 +1,7 @@
 """Graph container and the classical primitives."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from properconn.graph import (
     max_cut_bipartite_subgraph,
     maximal_2ec_bipartite_subgraph,
     maximum_matching,
+    odd_cycle,
     shortest_even_cycle,
     two_fan,
 )
@@ -184,6 +187,21 @@ class TestBipartition:
                 continue
             for u, v in g.edges:
                 assert b.side_of(u) != b.side_of(v)
+
+    def test_odd_cycle_exactly_when_not_bipartite(self):
+        found = []
+        for n in range(1, 7):
+            for g in corpus.connected_graphs(n):
+                cyc = odd_cycle(g)
+                found.append(cyc)
+                assert (cyc is None) == (bipartition(g) is not None)
+                if cyc is None:
+                    continue
+                assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc) >= 3
+                assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        # pinned: the BFS clash order decides which cycle each graph reports
+        digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+        assert digest == "725331ffa30e6407a5b662abff4b55ab17c4d12e3fc33086dade06040cdc079a"
 
 
 class TestDiameter:

@@ -123,6 +123,12 @@ class TestPcExact:
         with pytest.raises(SearchBudgetExceeded):
             pc_exact(corpus.petersen(), budget_nodes=3)
 
+    def test_budget_counts_every_palette_size(self, mini):
+        # k=1 spends 7 nodes; k=2 stops one node past the 4,993 left
+        with pytest.raises(SearchBudgetExceeded) as ei:
+            pc_exact(mini, budget_nodes=5000)
+        assert (ei.value.k, ei.value.lower, ei.value.nodes) == (2, 2, 5001)
+
     def test_disconnected_rejected(self):
         from properconn import Graph
 
