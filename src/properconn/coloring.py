@@ -7,12 +7,15 @@ certificate), is the whole graph properly connected, and does it satisfy the
 strong variant (two proper paths per pair whose first edges differ in color
 and whose last edges differ in color).
 
-Each check builds one colored view of the graph: an edge-indexed color
-vector plus the per-graph incidence ``v -> ((neighbor, edge index), ...)``.
-Every proper-walk question runs through one BFS, ``_walk_arrivals``, over
-(vertex, last color) states kept as one bitmask per vertex; color 0 marks an
-uncolored edge that any color may follow, which is how the exact solver
-screens partial colorings with the same loop.
+Every search reads a coloring in one form, the view: the color vector indexed
+like ``g.edges`` plus the graph's one cached incidence
+``v -> ((neighbor, edge index), ...)``. A public check turns its
+``EdgeColoring`` into that vector once; the exact solver colors edges by the
+same index, so its leaves are views with no conversion. Every proper-walk
+question runs through one BFS, ``_walk_arrivals``, over (vertex, last color)
+states kept as one bitmask per vertex; color 0 marks an uncolored edge that
+any color may follow, which is how the exact solver screens partial colorings
+with the same loop.
 
 Every path question is one query, ``_one_path``: a proper s-t path whose
 first color avoids one given color and whose last color avoids another (or
@@ -209,17 +212,16 @@ def _incidence(g: Graph) -> Incidence:
 
 
 class _ColorView:
-    """One (graph, coloring) pair as the searches read it."""
+    """One coloring of ``g`` as the searches read it: ``colors[i]`` colors
+    ``g.edges[i]``, and ``inc`` is the graph's one cached incidence, so a
+    step from ``v`` to ``w`` by edge ``i`` has color ``colors[i]``."""
 
-    __slots__ = ("g", "c", "colors", "einc", "inc", "_arrivals", "_gadget")
+    __slots__ = ("g", "colors", "inc", "_arrivals", "_gadget")
 
-    def __init__(self, g: Graph, c: EdgeColoring):
+    def __init__(self, g: Graph, colors: Sequence[int]):
         self.g = g
-        self.c = c
-        self.colors = colors = c.as_vector(g)  # colors[i] colors g.edges[i]
-        self.einc = einc = _incidence(g)
-        # inc[v] = (neighbor, color) pairs in ascending neighbor order
-        self.inc = [[(w, colors[i]) for w, i in row] for row in einc]
+        self.colors = colors
+        self.inc = _incidence(g)
         self._arrivals: dict[int, list[int]] = {}
         self._gadget: Optional[_Gadget] = None
 
@@ -229,7 +231,7 @@ class _ColorView:
         try:
             return self._arrivals[t]
         except KeyError:
-            arr = self._arrivals[t] = _walk_arrivals(self.einc, self.colors, t)
+            arr = self._arrivals[t] = _walk_arrivals(self.inc, self.colors, t)
             return arr
 
     def gadget(self) -> "_Gadget":
@@ -344,7 +346,7 @@ def _dfs_path(
     if not arr[s]:
         return None
     budget = _DFS_BUDGET
-    inc = view.inc
+    inc, colors = view.inc, view.colors
     onpath = [False] * len(inc)
     onpath[s] = True
     path = [s]
@@ -356,7 +358,8 @@ def _dfs_path(
         raise _Overrun
     while stack:
         it, last = stack[-1]
-        for w, col in it:
+        for w, i in it:
+            col = colors[i]
             if col == last:
                 continue
             if w == t:
@@ -432,9 +435,10 @@ class _Gadget:
             owner.extend([v] * count)
             return list(range(first, first + count))
 
+        colors = view.colors
         mate: list[int] = []
         for v, row in enumerate(view.inc):
-            cols = sorted({col for _, col in row})
+            cols = sorted({colors[i] for _, i in row})
             xs = nodes(v, len(cols))
             others = nodes(v, len(cols))  # the y's, then z and z'
             mate.extend(others)
@@ -448,7 +452,7 @@ class _Gadget:
                 adj[others[-1]].append(others[-2])
             self.xs.append(dict(zip(cols, xs)))
             self.ends.append(tuple(others[-2:]))
-        for (u, v), col in zip(view.g.edges, view.colors):
+        for (u, v), col in zip(view.g.edges, colors):
             a, b = self.xs[u][col], self.xs[v][col]
             adj[a].append(b)
             adj[b].append(a)
@@ -587,7 +591,7 @@ def proper_path_exists(
     if u == v:
         raise PreconditionError("path query needs distinct endpoints")
     c.validate(g)
-    view = _ColorView(g, c)
+    view = _ColorView(g, c.as_vector(g))
     path = _one_path(view, u, v, view.arrivals(v))
     if path is None:
         return None
@@ -608,7 +612,7 @@ def is_proper_connected(
         return True, None
     if len(connected_components(g)) != 1:
         raise PreconditionError("proper connectivity is defined on connected graphs")
-    pair = _first_unconnected_pair(_ColorView(g, c))
+    pair = _first_unconnected_pair(_ColorView(g, c.as_vector(g)))
     return pair is None, pair
 
 
@@ -616,7 +620,7 @@ def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
     """The lexicographically first pair without a proper path, or None."""
     n = view.g.n
     for u in range(n):
-        arr = _walk_arrivals(view.einc, view.colors, u)
+        arr = _walk_arrivals(view.inc, view.colors, u)
         reach = None  # u's matching reach, once a DFS toward u overran
         for v in range(u + 1, n):
             if reach is None:
@@ -647,10 +651,10 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     c.validate(g)
     if g.n >= 2 and len(connected_components(g)) != 1:
         raise PreconditionError("the strong property is defined on connected graphs")
-    view = _ColorView(g, c)
+    view = _ColorView(g, c.as_vector(g))
     witnesses: dict[tuple[int, int], StrongWitness] = {}
     for u in range(g.n):
-        arr = _walk_arrivals(view.einc, view.colors, u)
+        arr = _walk_arrivals(view.inc, view.colors, u)
         for v in range(u + 1, g.n):
             # v -> u paths, as in _first_unconnected_pair; reversed below so
             # that the certificates run u -> v
@@ -679,8 +683,9 @@ def _strong_pair(
     p1 = _one_path(view, s, t, arr)
     if p1 is None:
         return None
-    color = view.c.color
-    a, b = color(p1[0], p1[1]), color(p1[-2], p1[-1])
+    colors, eidx = view.colors, view.g.edge_index()
+    a = colors[eidx[_norm(p1[0], p1[1])]]
+    b = colors[eidx[_norm(p1[-2], p1[-1])]]
     p2 = _one_path(view, s, t, arr, a, b)
     if p2 is not None:
         return p1, p2

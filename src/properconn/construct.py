@@ -471,9 +471,8 @@ def color_2connected_3(g: Graph) -> EdgeColoring:
     except SearchBudgetExceeded:
         pass  # inconclusive at 2; settle for 3
     deco = _ring_decoration(g)
-    if deco is not None and is_proper_connected(g, deco)[0]:
-        if has_strong_property(g, deco).ok:
-            return deco
+    if deco is not None and has_strong_property(g, deco).ok:
+        return deco
     found = exists_pc_coloring(g, 3, require_strong=True, budget_nodes=20_000_000)
     if found is None:
         raise InternalError(

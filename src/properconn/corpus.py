@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .graph import Graph, PreconditionError, is_connected
 

@@ -47,7 +47,6 @@ from .coloring import (
     _ColorView,
     _first_unconnected_pair,
     _one_path,
-    _to_local,
     _walk_arrivals,
 )
 
@@ -544,7 +543,7 @@ def find_one_way_vertex(
     p = spec.pairs[pair_index]
     exit_start, exit_end = spec.exits_of(pair_index)
     sub, vmap, loc = _region_graph(g, spec, pair_index)
-    view = _ColorView(sub, EdgeColoring(c.k, _to_local(c.assignment, sub, vmap)))
+    view = _ColorView(sub, tuple(c.color(vmap[x], vmap[y]) for x, y in sub.edges))
     col_start = c.color(*exit_start)
     col_end = c.color(*exit_end)
     for v in p.region():
@@ -585,14 +584,14 @@ def refute_2_coloring(
     """
     c.validate(g)
     # One view serves the walk sweep and every path query below.
-    view = _ColorView(g, c)
+    view = _ColorView(g, c.as_vector(g))
 
     def dead(u: int, v: int) -> bool:
         return _one_path(view, u, v, view.arrivals(v)) is None
 
     # (i) walk filter sweep
     for u in range(g.n):
-        reach = _walk_arrivals(view.einc, view.colors, u)
+        reach = _walk_arrivals(view.inc, view.colors, u)
         for v in range(u + 1, g.n):
             if not reach[v]:
                 if not dead(u, v):

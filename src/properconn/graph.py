@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -156,9 +156,6 @@ class Graph:
                 raise GraphError(f"attach target {w} not in graph")
         extra = [(w, self.n) for w in nbrs]
         return Graph(self.n + 1, list(self.edges) + extra)
-
-    def with_edges(self, edges: Iterable[Sequence[int]]) -> "Graph":
-        return Graph(self.n, list(self.edges) + [tuple(e) for e in edges])
 
     def spanning_subgraph(self, edges: Iterable[Sequence[int]]) -> "Graph":
         """Subgraph on the same vertex set restricted to ``edges``."""

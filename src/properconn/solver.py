@@ -7,6 +7,12 @@ wildcard walk check: uncolored edges act as free colors, so an unreachable
 pair under that relaxation can never become properly connected and the whole
 subtree dies. Exhausting the tree is therefore a proof of absence.
 
+Edges are colored in BFS order from vertex 0, which defines the tree, but the
+color vector is indexed like ``g.edges`` and read through the graph's one
+cached incidence: the form every check in ``coloring`` reads. So each leaf is
+checked on one view of that vector, and an ``EdgeColoring`` is built only for
+a leaf that passes the check.
+
 The prune at a node that has just colored e = (a, b) with col asks, in order:
 
 * the replay: is the last dead pair (the conflict) still dead? One walk BFS
@@ -53,6 +59,9 @@ from .graph import (
 from .coloring import (
     EdgeColoring,
     Incidence,
+    _ColorView,
+    _first_unconnected_pair,
+    _incidence,
     _walk_arrivals,
     has_strong_property,
     is_proper_connected,
@@ -122,28 +131,17 @@ class _Search:
     """One exists-style search: fixed graph, palette size, budget."""
 
     def __init__(
-        self,
-        g: Graph,
-        k: int,
-        require_strong: bool,
-        budget_nodes: Optional[int],
-        lower_for_budget: int,
+        self, g: Graph, k: int, require_strong: bool, budget_nodes: Optional[int]
     ):
         self.g = g
         self.k = k
         self.require_strong = require_strong
         self.budget = budget_nodes
-        self.lower_for_budget = lower_for_budget
-        self.order = _bfs_edge_order(g)
-        self.eidx = {e: i for i, e in enumerate(self.order)}
-        # g.edges[j] is order[perm[j]]: leaves become vectors in g.edges order
-        self.perm = [self.eidx[e] for e in g.edges]
-        # incidence in edge-order terms: vertex -> [(neighbor, order index)]
-        self.inc = [
-            tuple((w, self.eidx[(min(v, w), max(v, w))]) for w in g.adj[v])
-            for v in range(g.n)
-        ]
-        self.ecolor = [0] * g.m  # by order index; 0 = uncolored
+        self.order = _bfs_edge_order(g)  # the edge colored at each depth
+        eidx = g.edge_index()
+        self.idx = [eidx[e] for e in self.order]  # its index in g.edges
+        self.inc = _incidence(g)
+        self.ecolor = [0] * g.m  # by g.edges index; 0 = uncolored
         self.dist = all_pairs_distances(g)
         self.touched_stack: list[int] = []  # vertices in colored-incidence order
         self.touched = [0] * g.n  # count of colored incident edges
@@ -194,7 +192,7 @@ class _Search:
                         break
                 else:
                     continue
-                reach = _end_reach(inc, ecolor, base, x, depth)
+                reach = _end_reach(inc, ecolor, base, x, self.idx[depth])
                 for y in need:
                     if not reach[y]:
                         self.conflict = (x, y) if x < y else (y, x)
@@ -215,22 +213,22 @@ class _Search:
 
     def _descend(self, depth: int, maxused: int) -> Optional[EdgeColoring]:
         if depth == self.g.m:
+            g = self.g
             self.leaves += 1
-            ecolor = self.ecolor
-            cand = EdgeColoring.from_vector(
-                self.g, self.k, [ecolor[i] for i in self.perm]
-            )
-            ok, pair = is_proper_connected(self.g, cand)
-            if not ok:
+            # colors are in 1..k by construction and run() has checked that g
+            # is connected, so the vector is checked as it stands
+            pair = _first_unconnected_pair(_ColorView(g, tuple(self.ecolor)))
+            if pair is not None:
                 self.conflict = pair
                 return None
+            cand = EdgeColoring.from_vector(g, self.k, self.ecolor)
             if self.require_strong:
-                sc = has_strong_property(self.g, cand)
+                sc = has_strong_property(g, cand)
                 if not sc.ok:
                     self.conflict = sc.failing_pair
                     return None
             return cand
-        e = self.order[depth]
+        e, i = self.order[depth], self.idx[depth]
         for v in e:
             if self.touched[v] == 0:
                 self.touched_stack.append(v)
@@ -245,18 +243,17 @@ class _Search:
             for col in range(1, min(self.k, maxused + 1) + 1):
                 self.nodes += 1
                 if self.budget is not None and self.nodes > self.budget:
-                    raise SearchBudgetExceeded(
-                        self.k, self.lower_for_budget, self.nodes
-                    )
-                self.ecolor[depth] = col
+                    # one search proves no bound; pc_exact re-raises with its k
+                    raise SearchBudgetExceeded(self.k, 1, self.nodes)
+                self.ecolor[i] = col
                 if not self._prune(depth, col, needs):
                     got = self._descend(depth + 1, max(maxused, col))
                     if got is not None:
                         return got
-            self.ecolor[depth] = 0
+            self.ecolor[i] = 0
             return None
         finally:
-            if self.ecolor[depth] == 0:  # fully unwound
+            if self.ecolor[i] == 0:  # fully unwound
                 for v in e:
                     self.touched[v] -= 1
                     if self.touched[v] == 0:
@@ -278,7 +275,7 @@ def exists_pc_coloring(
     """
     if k < 0:
         raise PreconditionError("palette size must be nonnegative")
-    search = _Search(g, k, require_strong, budget_nodes, lower_for_budget=1)
+    search = _Search(g, k, require_strong, budget_nodes)
     t0 = time.perf_counter()
     try:
         got = search.run()
@@ -312,13 +309,12 @@ def pc_exact(
     t0 = time.perf_counter()
     budget_left = budget_nodes
     for k in range(1, k_max + 1):
-        search = _Search(g, k, require_strong, budget_left, lower_for_budget=k)
+        search = _Search(g, k, require_strong, budget_left)
         try:
             got = search.run()
-        except SearchBudgetExceeded as exc:
-            raise SearchBudgetExceeded(
-                k, exc.lower, stats["nodes"] + search.nodes
-            ) from None
+        except SearchBudgetExceeded:
+            # every k below this one was refuted, so k is a lower bound
+            raise SearchBudgetExceeded(k, k, stats["nodes"] + search.nodes) from None
         stats["per_k"][k] = search.nodes
         stats["nodes"] += search.nodes
         stats["runtime_s"] = time.perf_counter() - t0

@@ -10,13 +10,13 @@ from properconn import (
     EdgeColoring,
     ExtensionError,
     Graph,
-    InternalError,
     OddCycleError,
     PreconditionError,
     classify_diam3,
     color_2connected_3,
     color_3ec,
     color_diam3,
+    construct,
     corpus,
     extend_vertex_addition,
     grow_by_degree2_additions,
@@ -24,7 +24,6 @@ from properconn import (
     is_proper_connected,
     lift_spanning_coloring,
     pc_exact,
-    proper_path_exists,
     strong_2_coloring_bipartite,
 )
 from properconn.construct import (
@@ -410,6 +409,24 @@ class TestColorDiam3:
         c = color_diam3(g)
         assert c.colors_used() == 2
         assert has_strong_property(g, c).ok
+
+    def test_matched_seed_colors_its_scaffold(self, monkeypatch):
+        # Hubs 0, 1 | 6, 7 with a two-edge matching (2,4), (3,5) and two far
+        # common neighbors 8, 9: big enough that the book and the matching
+        # theta are strong-2-colored, so the exact-search fallback never runs.
+        g = Graph(10, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5),
+                       (6, 8), (6, 9), (7, 8), (7, 9), (0, 6), (1, 7)])
+        dec = classify_diam3(g)
+        assert dec.case_tag == CASE1_SUB12
+        assert dec.matching == ((2, 4), (3, 5)) and dec.q["2,0"] == (8, 9)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the matched seed fell back to the exact search")
+
+        monkeypatch.setattr(construct, "exists_pc_coloring", no_search)
+        c = color_diam3(g)
+        assert c.colors_used() == 2
+        assert is_proper_connected(g, c) == (True, None)
 
     def test_narrow_cut_instance(self):
         g = _k33_with_pair()

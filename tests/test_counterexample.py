@@ -12,7 +12,6 @@ from properconn import (
     PreconditionError,
     build_counterexample,
     color_2connected_3,
-    corpus,
     find_one_way_vertex,
     is_proper_connected,
     proper_path_exists,

@@ -13,7 +13,6 @@ from properconn.graph import (
     PreconditionError,
     bipartition,
     bridges_and_cut_vertices,
-    connected_components,
     connectivity,
     diameter,
     edge_connectivity,

@@ -1,15 +1,12 @@
 """Exact pc search: existence queries, optimal values, sampling refuter."""
 
-import itertools
 import random
 
 import pytest
 
 from properconn import (
-    EdgeColoring,
     PreconditionError,
     SearchBudgetExceeded,
-    build_counterexample,
     corpus,
     exists_pc_coloring,
     has_strong_property,
@@ -351,7 +348,7 @@ class TestPrunePieces:
         # Path 0-1-2-3 with (0, 1) colored 1: coloring (1, 2) with 1 kills the
         # pair (0, 2), and the sibling that colors it 2 reopens it.
         g = corpus.path_graph(4)
-        s = solver._Search(g, 2, False, None, 1)
+        s = solver._Search(g, 2, False, None)
         assert s.order == [(0, 1), (1, 2), (2, 3)]
         s.ecolor[0] = 1
         s.touched_stack = [0, 1, 2]
