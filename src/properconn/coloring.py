@@ -17,7 +17,14 @@ states kept as one bitmask per vertex; color 0 marks an uncolored edge that
 any color may follow, which is how the exact solver screens partial colorings
 with the same loop.
 
-Every path question is one query, ``_one_path``: a proper s-t path whose
+The walk tree settles pairs first. The all-pairs and strong checks run, per
+source, the same BFS with each state's parent kept, ``_walk_tree``, and read
+the walk to every state back; a walk that repeats no vertex is a proper path,
+and so is each of its prefixes. A pair with such a path is settled (the
+strong check needs two whose colors differ at both ends), and only the pairs
+the tree leaves open are searched.
+
+Every path search is one query, ``_one_path``: a proper s-t path whose
 first color avoids one given color and whose last color avoids another (or
 neither). A depth-first search over simple paths, ``_dfs_path``, tries it
 first. It prunes with walk reachability toward the target: a proper walk
@@ -29,9 +36,9 @@ the smaller end is that prune. The DFS runs under a small step budget, and a
 polynomial fallback settles whatever it leaves open: Edmonds' blossom search
 on Szeider's gadget graph, where a proper s-t path is an augmenting path and
 an end color is forbidden by where the end's pendant hangs. So every query
-settles. The strong check needs at most four queries per pair, and the gadget
-analysis one per escape route. Certificates are always re-validated before
-being returned.
+settles. The strong check needs at most four queries for a pair the tree
+leaves open, three when the tree gave one path, and the gadget analysis one
+per escape route. Certificates are always validated before being returned.
 """
 
 from __future__ import annotations
@@ -184,11 +191,30 @@ class StrongWitness:
 def certificate_from_path(
     g: Graph, c: EdgeColoring, path: Sequence[int]
 ) -> ProperPathCertificate:
-    cert = ProperPathCertificate(
-        tuple(path), tuple(c.color(a, b) for a, b in zip(path, path[1:]))
-    )
-    cert.validate(g, c)
-    return cert
+    """A validated certificate for ``path`` under ``c``, a coloring of ``g``.
+
+    Builds and checks in one pass, reading each edge's color once: a path
+    shorter than one edge, one that revisits a vertex, one through a pair
+    ``c`` does not color (a non-edge of ``g``) and one that is not proper are
+    rejected as :meth:`ProperPathCertificate.validate` rejects them.
+    """
+    path = tuple(path)
+    if len(path) < 2:
+        raise InternalError("certificate path must traverse an edge")
+    if len(set(path)) != len(path):
+        raise InternalError(f"certificate path revisits a vertex: {path}")
+    get = c.assignment.get
+    cols = []
+    last = None
+    for a, b in zip(path, path[1:]):
+        col = get((a, b) if a < b else (b, a))
+        if col is None:
+            raise InternalError(f"certificate uses non-edge ({a},{b})")
+        if col == last:
+            raise InternalError(f"certificate path is not proper: {tuple(cols) + (col,)}")
+        cols.append(col)
+        last = col
+    return ProperPathCertificate(path, tuple(cols))
 
 
 # -- one colored view per check ------------------------------------------------
@@ -290,6 +316,88 @@ def _walk_arrivals(
                     return arr
                 queue.append((w, col))
     return arr
+
+
+def _walk_tree(
+    inc: Incidence, colors: Sequence[int], source: int
+) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """The BFS of :func:`_walk_arrivals` from ``source`` that also keeps each
+    state's parent, so that a proper walk to any state can be read back.
+
+    Returns ``(arr, states, parent)``: ``arr`` as :func:`_walk_arrivals`
+    returns it, ``states`` the (vertex, last color) states in BFS order with
+    the source's ``(source, 0)`` first, and ``parent[j]`` the index of the
+    state that state ``j`` was reached from (-1 for the source). The parents
+    from a state back to the source spell a proper walk, reversed; when it
+    repeats no vertex it is a proper path. Only the path checks build this
+    tree: the solver's prune keeps the leaner :func:`_walk_arrivals`, which a
+    parent list would slow by about 8%.
+    """
+    arr = [0] * len(inc)
+    arr[source] = 1
+    states = [(source, 0)]
+    parent = [-1]
+    for j, (v, last) in enumerate(states):
+        for w, i in inc[v]:
+            col = colors[i]
+            if col and col == last:
+                continue
+            bit = 1 << col
+            if not arr[w] & bit:
+                arr[w] |= bit
+                states.append((w, col))
+                parent.append(j)
+    return arr, states, parent
+
+
+def _tree_paths(
+    states: Sequence[tuple[int, int]], parent: Sequence[int], n: int
+) -> tuple[list[list[int]], list[int]]:
+    """Which walks of a :func:`_walk_tree` are paths.
+
+    Returns ``(paths, first)``: ``paths[v]`` lists, in BFS order, the states
+    at ``v`` whose tree walk repeats no vertex, and ``first[j]`` is the color
+    by which the walk to state ``j`` leaves the source. A walk is a path when
+    its parent's walk is one and does not pass through its last vertex; a
+    state that reaches its vertex first in BFS order passes that second test
+    for free, since every state on its parent's walk comes earlier.
+    """
+    paths: list[list[int]] = [[] for _ in range(n)]
+    first = [0] * len(states)
+    simple = [False] * len(states)
+    simple[0] = True
+    paths[states[0][0]].append(0)
+    seen = [False] * n
+    seen[states[0][0]] = True
+    for j in range(1, len(states)):
+        v, col = states[j]
+        p = parent[j]
+        first[j] = first[p] or col
+        if simple[p]:
+            if seen[v]:
+                q = p
+                while q >= 0 and states[q][0] != v:
+                    q = parent[q]
+                ok = q < 0
+            else:
+                ok = True
+            if ok:
+                simple[j] = True
+                paths[v].append(j)
+        seen[v] = True
+    return paths, first
+
+
+def _tree_path(
+    states: Sequence[tuple[int, int]], parent: Sequence[int], j: int
+) -> tuple[int, ...]:
+    """The vertices of the tree walk to state ``j``, from its vertex back to
+    the source."""
+    walk = []
+    while j >= 0:
+        walk.append(states[j][0])
+        j = parent[j]
+    return tuple(walk)
 
 
 def proper_walk_reach(g: Graph, c: EdgeColoring, source: int) -> set[int]:
@@ -604,8 +712,9 @@ def is_proper_connected(
     """Whether every vertex pair has a proper path; on failure also the first
     failing pair in lexicographic order.
 
-    Pairs are screened by the walk filter (a missing walk settles the pair
-    negatively); surviving pairs get an exact path search.
+    A pair is settled by a path in its walk tree where there is one, else
+    by an exact path search, which the same walks prune (a missing walk
+    settles the pair negatively).
     """
     c.validate(g)
     if g.n <= 1:
@@ -617,12 +726,19 @@ def is_proper_connected(
 
 
 def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
-    """The lexicographically first pair without a proper path, or None."""
+    """The lexicographically first pair without a proper path, or None.
+
+    One walk tree per source ``u`` settles every ``v`` with a tree walk that
+    is a path; only the pairs it leaves open are searched.
+    """
     n = view.g.n
     for u in range(n):
-        arr = _walk_arrivals(view.inc, view.colors, u)
+        arr, states, parent = _walk_tree(view.inc, view.colors, u)
+        paths, _ = _tree_paths(states, parent, n)
         reach = None  # u's matching reach, once a DFS toward u overran
         for v in range(u + 1, n):
+            if paths[v]:
+                continue
             if reach is None:
                 # A reversed proper path is a proper path: search v -> u,
                 # which prunes with this one walk sweep from u.
@@ -654,11 +770,15 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     view = _ColorView(g, c.as_vector(g))
     witnesses: dict[tuple[int, int], StrongWitness] = {}
     for u in range(g.n):
-        arr = _walk_arrivals(view.inc, view.colors, u)
+        arr, states, parent = _walk_tree(view.inc, view.colors, u)
+        paths, first = _tree_paths(states, parent, g.n)
         for v in range(u + 1, g.n):
             # v -> u paths, as in _first_unconnected_pair; reversed below so
             # that the certificates run u -> v
-            pair = _strong_pair(view, v, u, arr)
+            pair = _tree_pair(states, parent, paths[v], first)
+            if pair is None:
+                p1 = _tree_path(states, parent, paths[v][0]) if paths[v] else None
+                pair = _strong_pair(view, v, u, arr, p1)
             if pair is None:
                 return StrongCheck(False, witnesses, (u, v))
             witnesses[(u, v)] = StrongWitness(
@@ -668,11 +788,36 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     return StrongCheck(True, witnesses)
 
 
+def _tree_pair(
+    states: Sequence[tuple[int, int]],
+    parent: Sequence[int],
+    at: Sequence[int],
+    first: Sequence[int],
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Two tree paths whose colors differ at both ends, read back as
+    :func:`_tree_path` reads them, or None. ``at`` lists the states at one
+    vertex whose tree walks are paths, as ``_tree_paths`` gives them.
+    Distinct states at one vertex differ in their last colors, so only the
+    first colors need to differ."""
+    if len(at) < 2:
+        return None
+    j = at[0]
+    for i in at[1:]:
+        if first[i] != first[j]:
+            return _tree_path(states, parent, j), _tree_path(states, parent, i)
+    return None
+
+
 def _strong_pair(
-    view: _ColorView, s: int, t: int, arr: Sequence[int]
+    view: _ColorView,
+    s: int,
+    t: int,
+    arr: Sequence[int],
+    p1: Optional[tuple[int, ...]] = None,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Two proper s->t paths whose first colors differ and whose last colors
-    differ, or None; ``arr`` as in :func:`_dfs_path`. At most four queries.
+    differ, or None; ``arr`` as in :func:`_dfs_path`. At most four queries,
+    and three when ``p1``, a proper s->t path, is given.
 
     Take any path P1, with first color a and last color b. A path that avoids
     a first and b last pairs with it. When there is none, every path starts
@@ -680,9 +825,10 @@ def _strong_pair(
     that starts with a but does not end with b, and one that ends with b but
     does not start with a: a path avoiding a first and one avoiding b last.
     """
-    p1 = _one_path(view, s, t, arr)
     if p1 is None:
-        return None
+        p1 = _one_path(view, s, t, arr)
+        if p1 is None:
+            return None
     colors, eidx = view.colors, view.g.edge_index()
     a = colors[eidx[_norm(p1[0], p1[1])]]
     b = colors[eidx[_norm(p1[-2], p1[-1])]]

@@ -531,9 +531,20 @@ class Diam3Decomposition:
 
 
 def _wide_two_cut(g: Graph) -> Optional[tuple[Edge, Edge, list[list[int]]]]:
-    """Lexicographically first 2-edge-cut whose removal leaves two sides >= 3."""
+    """Lexicographically first 2-edge-cut whose removal leaves two sides >= 3.
+
+    Removing {e, f} disconnects a connected ``g`` exactly when e is a bridge
+    of ``g`` or f is a bridge of ``g - e``, so each e scans only those f
+    (every f when ``g`` is not connected or e is a bridge).
+    """
+    one_cuts = set(bridges(g)) if len(connected_components(g)) == 1 else None
     for i, e in enumerate(g.edges):
+        cuts = None
+        if one_cuts is not None and e not in one_cuts:
+            cuts = set(bridges(g.without_edges([e])))
         for f in g.edges[i + 1 :]:
+            if cuts is not None and f not in cuts:
+                continue
             rest = g.without_edges([e, f])
             comps = connected_components(rest)
             if len(comps) == 1:

@@ -106,6 +106,18 @@ class TestCertificates:
         with pytest.raises(InternalError, match="mismatch"):
             ProperPathCertificate((0, 1), (2,)).validate(g, c)
 
+    def test_builder_rejects_what_validate_rejects(self):
+        g, c = _cycle_coloring(4, (1, 2, 1, 1))
+        for path, why in (
+            ((0,), "traverse an edge"),
+            ((0, 1, 0), "revisits"),
+            ((0, 2), "non-edge"),
+            ((1, 0, 3, 2), "not proper"),
+        ):
+            with pytest.raises(InternalError, match=why):
+                certificate_from_path(g, c, path)
+        assert certificate_from_path(g, c, [2, 1, 0]).colors == (2, 1)
+
     def test_strong_witness_needs_distinct_ends(self):
         g, c = _cycle_coloring(4, (1, 2, 1, 2))
         p1 = certificate_from_path(g, c, (0, 1))
@@ -362,6 +374,98 @@ class TestSharedWalkSearch:
                     got = proper_path_exists(g, c, u, v) is not None
                     assert got == oracles.brute_has_proper_path(g, c, u, v)
             assert has_strong_property(g, c).failing_pair == oracles.brute_strong(g, c)
+
+
+def _first_pair_without_path(g, c):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not oracles.brute_has_proper_path(g, c, u, v):
+                return u, v
+    return None
+
+
+def _checks_match_oracles(rng, trials):
+    """Both checks against the brute-force oracles on seeded colorings (n
+    2-14, k 1-4): verdict, failing pair, witness keys and validity. About
+    a quarter of the graphs up to n=12 get one or two extra pendant
+    vertices; single-color vertices come with k = 1 and with pendants."""
+    single_color = pendant = passing = strong = 0
+    for _ in range(trials):
+        n = rng.randint(2, 14)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 3 if n > 9 else 2 * n))
+        g = corpus.random_connected(n, m, rng)
+        if 4 <= n <= 12 and rng.random() < 0.25:
+            # hang pendants off random vertices
+            extra = rng.randint(1, 2)
+            g = Graph(n + extra, list(g.edges) + [(rng.randrange(n), n + i) for i in range(extra)])
+        k = rng.randint(1, 4)
+        c = EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
+        single_color += any(len({c.color(v, w) for w in g.adj[v]}) == 1 for v in range(g.n))
+        pendant += any(len(g.adj[v]) == 1 for v in range(g.n))
+        want = _first_pair_without_path(g, c)
+        assert is_proper_connected(g, c) == (want is None, want)
+        passing += want is None
+        chk = has_strong_property(g, c)
+        want = oracles.brute_strong(g, c)
+        assert (chk.ok, chk.failing_pair) == (want is None, want)
+        _check_witnesses(g, c, chk)
+        strong += chk.ok
+    assert single_color and pendant
+    assert passing >= trials // 5 and strong >= trials // 40
+
+
+class TestWalkTree:
+    """The walk tree settles most pairs before any search; the pairs it
+    leaves open go to the DFS and the matching as before."""
+
+    def test_checks_match_oracles(self):
+        _checks_match_oracles(random.Random(43), 1000)
+
+    def test_checks_match_oracles_without_tree_paths(self, monkeypatch):
+        # every tree walk reads as repeating a vertex, so every pair goes
+        # through the DFS, the matching and the four strong queries
+        def no_paths(states, parent, n):
+            return [[] for _ in range(n)], [0] * len(states)
+
+        monkeypatch.setattr(coloring, "_tree_paths", no_paths)
+        _checks_match_oracles(random.Random(47), 300)
+
+    @pytest.mark.parametrize("n", (4, 6, 8, 10))
+    def test_alternating_even_cycle_needs_no_search(self, n, monkeypatch):
+        # both ways around the cycle are tree walks, and they differ in color
+        # at both ends
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk tree should settle every pair")
+
+        monkeypatch.setattr(coloring, "_dfs_path", refuse)
+        monkeypatch.setattr(coloring, "_matching_path", refuse)
+        monkeypatch.setattr(coloring, "_matching_reach", refuse)
+        g, c = _cycle_coloring(n, [1 + i % 2 for i in range(n)])
+        assert is_proper_connected(g, c) == (True, None)
+        chk = has_strong_property(g, c)
+        assert chk.ok
+        _check_witnesses(g, c, chk)
+
+    def test_tree_paths_are_the_simple_walks(self):
+        # per vertex, the states whose parent chain repeats no vertex, and
+        # each such chain is a proper path with the recorded first color
+        rng = random.Random(53)
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            g, c = _random_colored(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), 3)
+            inc, colors = coloring._incidence(g), c.as_vector(g)
+            for s in range(n):
+                arr, states, parent = coloring._walk_tree(inc, colors, s)
+                assert arr == coloring._walk_arrivals(inc, colors, s)
+                paths, first = coloring._tree_paths(states, parent, n)
+                for j, (v, last) in enumerate(states):
+                    walk = coloring._tree_path(states, parent, j)
+                    assert walk[0] == v and walk[-1] == s
+                    simple = len(set(walk)) == len(walk)
+                    assert (j in paths[v]) == simple
+                    if simple and j:
+                        cert = certificate_from_path(g, c, walk[::-1])
+                        assert (cert.start_color, cert.end_color) == (first[j], last)
 
 
 class TestMatchingFallback:

@@ -10,6 +10,7 @@ from properconn import (
     EdgeColoring,
     ExtensionError,
     Graph,
+    InternalError,
     OddCycleError,
     PreconditionError,
     classify_diam3,
@@ -33,7 +34,7 @@ from properconn.construct import (
     CASE2_ODD_CYCLE,
     CASE_THREE_EC,
 )
-from properconn.graph import connectivity, diameter, edge_connectivity
+from properconn.graph import connected_components, connectivity, diameter, edge_connectivity
 
 import oracles
 
@@ -344,6 +345,47 @@ class TestClassifyDiam3:
         assert dec.case_tag == CASE2_BIPARTITE
         assert dec.pair_components == ((6, 7, 0, 1),)
         assert dec.classes == (((0, 1), (0,)),)  # one class, one member pair
+
+    def test_wide_two_cut_matches_the_pairwise_definition(self):
+        # Sparse graphs have bridges, so some removals leave three
+        # components and both sides must raise alike; the last two graphs
+        # are disconnected.
+        def by_pairs(g):
+            for i, e in enumerate(g.edges):
+                for f in g.edges[i + 1 :]:
+                    comps = connected_components(g.without_edges([e, f]))
+                    if len(comps) == 1:
+                        continue
+                    if len(comps) != 2:
+                        raise InternalError(f"{len(comps)} components")
+                    if min(map(len, comps)) >= 3:
+                        return e, f, comps
+            return None
+
+        def outcome(fn, g):
+            try:
+                return fn(g)
+            except InternalError as exc:
+                return "raises", str(exc).split()[-2]  # the component count
+
+        rng = random.Random(41)
+        graphs = [
+            corpus.random_connected(n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)), rng)
+            for n in rng.choices(range(4, 13), k=120)
+        ]
+        graphs += [
+            _two_k4_matching(),
+            _two_c4_bridge(),
+            Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+            Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        ]
+        found = raised = 0
+        for g in graphs:
+            want = outcome(by_pairs, g)
+            assert outcome(construct._wide_two_cut, g) == want
+            found += want is not None and want[0] != "raises"
+            raised += want is not None and want[0] == "raises"
+        assert found >= 10 and raised >= 10
 
     def test_preconditions_named(self):
         with pytest.raises(PreconditionError, match="noncomplete"):
