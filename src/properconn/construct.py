@@ -237,7 +237,9 @@ def color_3ec(g: Graph) -> EdgeColoring:
     """Verified strong 2-coloring of a 3-edge-connected noncomplete graph.
 
     Pipeline: locally maximum cut -> spanning bipartite subgraph (2-edge-
-    connected by the cut's local maximality) -> strong 2-coloring -> lift.
+    connected because no vertex flip or cut move of
+    ``max_cut_bipartite_subgraph`` grows the cut) -> strong 2-coloring ->
+    lift.
     """
     if g.is_complete():
         raise PreconditionError("complete graphs are a different regime (pc = 1)")
@@ -245,7 +247,7 @@ def color_3ec(g: Graph) -> EdgeColoring:
     if lam < 3:
         raise PreconditionError(f"need 3-edge-connectivity, have kappa'={lam}")
     h = max_cut_bipartite_subgraph(g)
-    if edge_connectivity(h) < 2:
+    if not is_connected(h) or bridges(h):
         raise InternalError(
             "max-cut spanning subgraph is not 2-edge-connected; the local "
             "maximality argument failed"

@@ -582,13 +582,42 @@ def _cut_edges(g: Graph, side: Sequence[int]) -> list[Edge]:
     return [e for e in g.edges if side[e[0]] != side[e[1]]]
 
 
+def _cut_moves(h: Graph):
+    """Vertex sets, as membership flags, that a cut move may flip: each
+    component of the cut subgraph ``h`` that does not hold vertex 0, then,
+    for each bridge e of h, the side of h - e that does not hold vertex 0."""
+    for comp in connected_components(h)[1:]:
+        flip = [False] * h.n
+        for v in comp:
+            flip[v] = True
+        yield flip
+    for e in bridges(h):
+        for x in e:
+            flip = [False] * h.n
+            flip[x] = True
+            stack = [x]
+            while stack:
+                u = stack.pop()
+                for w in h.adj[u]:
+                    if not flip[w] and _norm(u, w) != e:
+                        flip[w] = True
+                        stack.append(w)
+            if not flip[0]:
+                yield flip
+                break
+
+
 def max_cut_bipartite_subgraph(g: Graph) -> Graph:
     """Spanning bipartite subgraph induced by a (locally) maximum cut.
 
-    Local search from a BFS-parity start with a deterministic scan order; when
-    the host is 3-edge-connected the result is additionally required to be
-    2-edge-connected, retrying with exhaustive max cut (n <= 20) if the local
-    optimum falls short.
+    Local search from a BFS-parity start with a deterministic scan order:
+    single-vertex flips run until none grows the cut, then the first cut move
+    (see ``_cut_moves``) that grows the cut is made and the flips resume. Each
+    step strictly grows the cut, so there are at most m of them. When g is
+    3-edge-connected, at least 3 edges leave any such set and only a bridge
+    of the cut subgraph H among them is cut, so a component move grows the
+    cut by at least 3 and a bridge move by at least 1: the result is
+    connected and bridgeless, that is, 2-edge-connected.
     """
     if g.n == 0:
         raise PreconditionError("max cut of the empty graph")
@@ -597,45 +626,30 @@ def max_cut_bipartite_subgraph(g: Graph) -> Graph:
         dist = bfs_distances(g, comp[0])
         for v in comp:
             side[v] = dist[v] & 1
-    improved = True
-    while improved:
-        improved = False
-        for v in range(g.n):
+    while True:
+        improved = True
+        while improved:
+            improved = False
+            for v in range(g.n):
+                gain = sum(
+                    1 if side[w] == side[v] else -1 for w in g.adj[v]
+                )
+                if gain > 0:
+                    side[v] = 1 - side[v]
+                    improved = True
+        h = g.spanning_subgraph(_cut_edges(g, side))
+        for flip in _cut_moves(h):
             gain = sum(
-                1 if side[w] == side[v] else -1 for w in g.adj[v]
+                1 if side[u] == side[v] else -1
+                for u, v in g.edges
+                if flip[u] != flip[v]
             )
             if gain > 0:
-                side[v] = 1 - side[v]
-                improved = True
-    h = g.spanning_subgraph(_cut_edges(g, side))
-    if edge_connectivity(g) >= 3 and edge_connectivity(h) < 2:
-        h = _exhaustive_max_cut_2ec(g)
-    return h
-
-
-def _exhaustive_max_cut_2ec(g: Graph) -> Graph:
-    if g.n > 20:
-        raise InternalError(
-            "local max cut missed 2-edge-connectivity and the graph is too "
-            "large for exhaustive search"
-        )
-    best_val = -1
-    best_masks: list[int] = []
-    for mask in range(1 << (g.n - 1)):  # vertex n-1 pinned to side 0
-        val = 0
-        for u, v in g.edges:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                val += 1
-        if val > best_val:
-            best_val, best_masks = val, [mask]
-        elif val == best_val:
-            best_masks.append(mask)
-    for mask in best_masks:
-        side = [(mask >> v) & 1 for v in range(g.n)]
-        h = g.spanning_subgraph(_cut_edges(g, side))
-        if edge_connectivity(h) >= 2:
+                for v in range(g.n):
+                    side[v] ^= flip[v]
+                break
+        else:
             return h
-    raise InternalError("no maximum cut yields a 2-edge-connected subgraph")
 
 
 # -- shortest even cycle / maximal 2EC bipartite subgraph ---------------------

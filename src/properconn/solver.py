@@ -18,9 +18,9 @@ The prune at a node that has just colored e = (a, b) with col asks, in order:
 * the replay: is the last dead pair (the conflict) still dead? One walk BFS
   from one end of it. Walks only lose moves as edges get colors, so a pair
   dead at one node tends to stay dead at the next.
-* the sweep: is some pair of a (or of b) with a touched vertex at distance
-  at least 2 dead? A walk from a crosses e first, continuing from state
-  (b, col), or leaves a by a color other than col, as a walk from state
+* the sweep: is some pair of a (or of b) with an end of a colored edge at
+  distance at least 2 dead? A walk from a crosses e first, continuing from
+  state (b, col), or leaves a by a color other than col, as a walk from state
   (a, col) may, or leaves by another col-colored edge at a. So one closure of
   {(a, col), (b, col)} serves both ends, and it is extended by an end's other
   col-colored edges only when it misses a vertex that end needs.
@@ -34,6 +34,11 @@ The prune at a node that has just colored e = (a, b) with col asks, in order:
 
 All three answer exactly as one BFS from each end would, so the tree, its
 node count and every conflict are those of the plain rule.
+
+The colored edges at depth d are always ``order[:d+1]``, so the sweep's pairs
+depend on the depth alone. ``_plan`` lists them per depth once per graph,
+cached on it like the incidence, and every search on the graph (each palette
+size of ``pc_exact`` included) reads that plan.
 
 ``pc_exact`` wraps the search in an ascending loop over palette sizes;
 ``sample_refute`` hammers a fixed palette with seeded random colorings and
@@ -127,6 +132,45 @@ def _end_reach(
     return _walk_arrivals(inc, colors, seeds, arr=base[:])
 
 
+def _plan(
+    g: Graph,
+) -> tuple[list[tuple[int, int]], list[int], list[list[tuple[int, list[int]]]]]:
+    """The exact search's plan for ``g``, ``(order, idx, needs)``, cached on
+    the graph.
+
+    ``order[d]`` is the edge colored at depth d (BFS order from vertex 0) and
+    ``idx[d]`` its index in ``g.edges``. ``needs[d]`` pairs each end x of
+    ``order[d]`` with the vertices of ``order[:d+1]`` at distance >= 2 from
+    x, in first-appearance order; an end with no such vertex is left out.
+    Those are the pairs the endpoint sweep checks at depth d.
+    """
+    try:
+        return g._cache["search_plan"]
+    except KeyError:
+        pass
+    order = _bfs_edge_order(g)
+    eidx = g.edge_index()
+    idx = [eidx[e] for e in order]
+    dist = all_pairs_distances(g)
+    seen = [False] * g.n
+    touched: list[int] = []  # vertices of order[:d+1], first appearance first
+    needs = []
+    for e in order:
+        for v in e:
+            if not seen[v]:
+                seen[v] = True
+                touched.append(v)
+        at_depth = []
+        for x in e:
+            dx = dist[x]
+            need = [y for y in touched if dx[y] >= 2]
+            if need:
+                at_depth.append((x, need))
+        needs.append(at_depth)
+    plan = g._cache["search_plan"] = (order, idx, needs)
+    return plan
+
+
 class _Search:
     """One exists-style search: fixed graph, palette size, budget."""
 
@@ -137,14 +181,11 @@ class _Search:
         self.k = k
         self.require_strong = require_strong
         self.budget = budget_nodes
-        self.order = _bfs_edge_order(g)  # the edge colored at each depth
-        eidx = g.edge_index()
-        self.idx = [eidx[e] for e in self.order]  # its index in g.edges
+        # the edge colored at each depth, its index in g.edges, and the pairs
+        # the endpoint sweep checks there (see _plan)
+        self.order, self.idx, self.needs = _plan(g)
         self.inc = _incidence(g)
         self.ecolor = [0] * g.m  # by g.edges index; 0 = uncolored
-        self.dist = all_pairs_distances(g)
-        self.touched_stack: list[int] = []  # vertices in colored-incidence order
-        self.touched = [0] * g.n  # count of colored incident edges
         self.nodes = 0
         self.leaves = 0
         self.conflict: Optional[tuple[int, int]] = None
@@ -159,9 +200,9 @@ class _Search:
         """True when the partial coloring provably cannot be completed.
 
         Edge ``order[depth]`` = (a, b) has just been colored ``col``; ``needs``
-        pairs each end with the touched vertices at distance >= 2 from it, in
-        ``touched_stack`` order. Uncolored edges (color 0) act as free colors
-        in the walk search.
+        is the plan's ``needs[depth]``: each end paired with the vertices of
+        the colored edges at distance >= 2 from it, in first-appearance order.
+        Uncolored edges (color 0) act as free colors in the walk search.
         """
         inc, ecolor = self.inc, self.ecolor
         a, b = self.order[depth]
@@ -212,7 +253,7 @@ class _Search:
         return self._descend(0, 0)
 
     def _descend(self, depth: int, maxused: int) -> Optional[EdgeColoring]:
-        if depth == self.g.m:
+        if depth == len(self.idx):
             g = self.g
             self.leaves += 1
             # colors are in 1..k by construction and run() has checked that g
@@ -228,36 +269,19 @@ class _Search:
                     self.conflict = sc.failing_pair
                     return None
             return cand
-        e, i = self.order[depth], self.idx[depth]
-        for v in e:
-            if self.touched[v] == 0:
-                self.touched_stack.append(v)
-            self.touched[v] += 1
-        needs = []
-        for x in e:
-            dx = self.dist[x]
-            need = [y for y in self.touched_stack if dx[y] >= 2]
-            if need:
-                needs.append((x, need))
-        try:
-            for col in range(1, min(self.k, maxused + 1) + 1):
-                self.nodes += 1
-                if self.budget is not None and self.nodes > self.budget:
-                    # one search proves no bound; pc_exact re-raises with its k
-                    raise SearchBudgetExceeded(self.k, 1, self.nodes)
-                self.ecolor[i] = col
-                if not self._prune(depth, col, needs):
-                    got = self._descend(depth + 1, max(maxused, col))
-                    if got is not None:
-                        return got
-            self.ecolor[i] = 0
-            return None
-        finally:
-            if self.ecolor[i] == 0:  # fully unwound
-                for v in e:
-                    self.touched[v] -= 1
-                    if self.touched[v] == 0:
-                        self.touched_stack.remove(v)
+        i, needs = self.idx[depth], self.needs[depth]
+        for col in range(1, min(self.k, maxused + 1) + 1):
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                # one search proves no bound; pc_exact re-raises with its k
+                raise SearchBudgetExceeded(self.k, 1, self.nodes)
+            self.ecolor[i] = col
+            if not self._prune(depth, col, needs):
+                got = self._descend(depth + 1, max(maxused, col))
+                if got is not None:
+                    return got
+        self.ecolor[i] = 0
+        return None
 
 
 def exists_pc_coloring(

@@ -276,6 +276,24 @@ class TestColor3ec:
             w.validate(g, c)
 
 
+    @pytest.mark.parametrize("s", [6, 10])
+    def test_two_complete_bipartite_blocks(self, s):
+        # Two K_{s,s} joined by three edges (n = 4s, edge connectivity 3). The
+        # BFS-parity cut leaves two joining edges uncut and no vertex flip
+        # helps, so the cut subgraph has a bridge until a cut move flips the
+        # second block.
+        edges = []
+        for base in (0, 2 * s):
+            edges += [(base + i, base + s + j) for i in range(s) for j in range(s)]
+        edges += [(0, 2 * s), (1, 3 * s), (2, 3 * s + 1)]
+        g = Graph(4 * s, edges)
+        assert edge_connectivity(g) == 3
+        c = color_3ec(g)
+        assert c.colors_used() == 2
+        chk = has_strong_property(g, c)
+        assert chk.ok and len(chk.witnesses) == g.n * (g.n - 1) // 2
+
+
 class TestColor2Connected3:
     def test_c5_needs_the_third_color(self):
         # No strong 2-coloring of C5 exists: between adjacent vertices the

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from properconn import corpus
+from properconn import corpus, graph
 from properconn.graph import (
     Graph,
     GraphError,
@@ -288,6 +288,44 @@ class TestMaxCutBipartiteSubgraph:
             assert bipartition(h) is not None
             for v in range(g.n):
                 assert h.degree(v) >= (g.degree(v) + 1) // 2
+
+
+    def test_bridge_move_on_two_blocks(self):
+        # Two K_{6,6} joined by three edges: the vertex flips stop with the
+        # join (0, 12) as the cut subgraph's only bridge; flipping the block
+        # without vertex 0 cuts the other two joining edges instead.
+        edges = []
+        for base in (0, 12):
+            edges += [(base + i, base + 6 + j) for i in range(6) for j in range(6)]
+        g = Graph(24, edges + [(0, 12), (1, 18), (2, 19)])
+        h = max_cut_bipartite_subgraph(g)
+        assert h.m == g.m - 1  # g has an odd cycle
+        assert bipartition(h) is not None and edge_connectivity(h) == 2
+
+    def test_no_flip_or_cut_move_grows_the_result(self):
+        rng = random.Random(29)
+        three_ec = 0
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            g = corpus.random_connected(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+            h = max_cut_bipartite_subgraph(g)
+            cut = set(h.edges)
+
+            def gain(flip):
+                return sum(
+                    -1 if (u, v) in cut else 1
+                    for u, v in g.edges
+                    if flip[u] != flip[v]
+                )
+
+            for v in range(g.n):
+                assert gain([w == v for w in range(g.n)]) <= 0
+            for flip in graph._cut_moves(h):
+                assert gain(flip) <= 0
+            if edge_connectivity(g) >= 3:
+                three_ec += 1
+                assert edge_connectivity(h) >= 2
+        assert three_ec >= 10
 
 
 class TestMaximal2ECBipartiteSubgraph:

@@ -15,7 +15,7 @@ from properconn import (
     sample_refute,
 )
 from properconn import coloring, solver
-from properconn.graph import connectivity
+from properconn.graph import all_pairs_distances, bfs_distances, connectivity
 
 import oracles
 
@@ -305,12 +305,23 @@ class TestPrunePieces:
             calls[0] += 1
             return real_bfs(*args, **kwargs)
 
+        dists = {}
+
         def old_rule(s, depth):
             cf = s.conflict
             if cf is not None and not real_bfs(s.inc, s.ecolor, *cf)[cf[1]]:
                 return True, cf
+            if id(s.g) not in dists:
+                dists[id(s.g)] = (s.g, all_pairs_distances(s.g))
+            dist = dists[id(s.g)][1]
+            # the ends of the colored edges, in first-appearance order
+            eidx = s.g.edge_index()
+            touched = []
+            for e in s.order:
+                if s.ecolor[eidx[e]]:
+                    touched += [v for v in e if v not in touched]
             for x in s.order[depth]:
-                need = [y for y in s.touched_stack if s.dist[x][y] >= 2]
+                need = [y for y in touched if dist[x][y] >= 2]
                 if need:
                     reach = real_bfs(s.inc, s.ecolor, x)
                     for y in need:
@@ -351,8 +362,8 @@ class TestPrunePieces:
         s = solver._Search(g, 2, False, None)
         assert s.order == [(0, 1), (1, 2), (2, 3)]
         s.ecolor[0] = 1
-        s.touched_stack = [0, 1, 2]
-        needs = [(2, [0])]  # the touched vertices two or more steps from an end
+        needs = [(2, [0])]  # the colored edges' ends two or more steps from an end
+        assert s.needs[1] == needs
         s.ecolor[1] = 1
         assert s._prune(1, 1, needs) and s.conflict == (0, 2)
         assert s.dead is not None and s.dead_depth == 1
@@ -415,3 +426,45 @@ class TestSearchTreePins:
             exists_pc_coloring(mini, 2, require_strong=True, budget_nodes=49382, stats_out=stats)
         assert ei.value.nodes == 49383
         assert stats["leaves"] == 1396
+
+
+class TestSearchPlan:
+    """The plan the exact search reads at each depth, built once per graph."""
+
+    @staticmethod
+    def _want_needs(g, order):
+        # each end x of order[d] with the vertices of order[:d+1] two or more
+        # steps from x, in first-appearance order; ends with none left out
+        touched, want = [], []
+        for e in order:
+            touched += [v for v in e if v not in touched]
+            at_depth = []
+            for x in e:
+                dx = bfs_distances(g, x)
+                need = [y for y in touched if dx[y] >= 2]
+                if need:
+                    at_depth.append((x, need))
+            want.append(at_depth)
+        return want
+
+    def test_needs_match_the_rule_at_every_depth(self, mini):
+        for g in _pinned_graphs() + [corpus.petersen(), mini]:
+            order, idx, needs = solver._plan(g)
+            assert order == solver._bfs_edge_order(g)
+            assert [g.edges[i] for i in idx] == order
+            assert needs == self._want_needs(g, order)
+            assert solver._plan(g) is solver._plan(g)
+
+    def test_pc_exact_builds_the_plan_once(self, monkeypatch):
+        calls = [0]
+        real = solver.all_pairs_distances
+
+        def counting(g):
+            calls[0] += 1
+            return real(g)
+
+        monkeypatch.setattr(solver, "all_pairs_distances", counting)
+        g = _pinned_graphs()[0]
+        assert g.m == g.n - 1 and len(_TREE_PINS[0][0]) == 4
+        assert pc_exact(g).value == 4
+        assert calls[0] == 1
