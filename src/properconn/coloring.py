@@ -20,9 +20,10 @@ with the same loop.
 The walk tree settles pairs first. The all-pairs and strong checks run, per
 source, the same BFS with each state's parent kept, ``_walk_tree``, and read
 the walk to every state back; a walk that repeats no vertex is a proper path,
-and so is each of its prefixes. A pair with such a path is settled (the
-strong check needs two whose colors differ at both ends), and only the pairs
-the tree leaves open are searched.
+and so is each of its prefixes. A pair with such a path is settled. The
+strong check needs two whose colors differ at both ends, and it reads them
+from the trees of both ends of a pair, since a path reversed is a path. Only
+the pairs the trees leave open are searched.
 
 Every path search is one query, ``_one_path``: a proper s-t path whose
 first color avoids one given color and whose last color avoids another (or
@@ -36,9 +37,9 @@ the smaller end is that prune. The DFS runs under a small step budget, and a
 polynomial fallback settles whatever it leaves open: Edmonds' blossom search
 on Szeider's gadget graph, where a proper s-t path is an augmenting path and
 an end color is forbidden by where the end's pendant hangs. So every query
-settles. The strong check needs at most four queries for a pair the tree
-leaves open, three when the tree gave one path, and the gadget analysis one
-per escape route. Certificates are always validated before being returned.
+settles. The strong check needs at most four queries for a pair the trees
+leave open, three when a tree gave one path, and the gadget analysis one per
+escape route. Certificates are always validated before being returned.
 """
 
 from __future__ import annotations
@@ -331,7 +332,9 @@ def _walk_tree(
     from a state back to the source spell a proper walk, reversed; when it
     repeats no vertex it is a proper path. Only the path checks build this
     tree: the solver's prune keeps the leaner :func:`_walk_arrivals`, which a
-    parent list would slow by about 8%.
+    parent list would slow by about 8%. The all-pairs check drops each tree
+    after its source's row; the strong check also reads a pair's far end's
+    tree, so it keeps the trees of later sources until their own rows.
     """
     arr = [0] * len(inc)
     arr[source] = 1
@@ -733,8 +736,7 @@ def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
     """
     n = view.g.n
     for u in range(n):
-        arr, states, parent = _walk_tree(view.inc, view.colors, u)
-        paths, _ = _tree_paths(states, parent, n)
+        arr, _, _, paths, _ = _source_tree(view, u)
         reach = None  # u's matching reach, once a DFS toward u overran
         for v in range(u + 1, n):
             if paths[v]:
@@ -763,22 +765,37 @@ class StrongCheck:
 
 def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     """Strong proper connectivity: every pair carries two proper paths with
-    distinct start colors and distinct end colors. Witnesses are validated."""
+    distinct start colors and distinct end colors. Witnesses are validated.
+
+    A pair (u, v), u < v, is settled from the walk trees of both ends: the
+    simple states at v in u's tree and at u in v's tree are proper paths, and
+    any two of them whose colors differ at both ends are the witness. v's
+    tree is built only when u's tree alone does not settle the pair, and it
+    is kept for v's own row; u's tree is dropped after u's row. Only a pair
+    that neither tree settles is searched, by :func:`_strong_pair`.
+    """
     c.validate(g)
     if g.n >= 2 and len(connected_components(g)) != 1:
         raise PreconditionError("the strong property is defined on connected graphs")
     view = _ColorView(g, c.as_vector(g))
     witnesses: dict[tuple[int, int], StrongWitness] = {}
+    trees: dict[int, _SourceTree] = {}  # trees of later sources
     for u in range(g.n):
-        arr, states, parent = _walk_tree(view.inc, view.colors, u)
-        paths, first = _tree_paths(states, parent, g.n)
+        tree = trees.pop(u, None) or _source_tree(view, u)
         for v in range(u + 1, g.n):
-            # v -> u paths, as in _first_unconnected_pair; reversed below so
-            # that the certificates run u -> v
-            pair = _tree_pair(states, parent, paths[v], first)
+            # candidate paths run v -> u, as _strong_pair searches them;
+            # reversed below so that the certificates run u -> v
+            cands = _tree_ends(tree, v, False)
+            pair = _tree_pair(cands)
             if pair is None:
-                p1 = _tree_path(states, parent, paths[v][0]) if paths[v] else None
-                pair = _strong_pair(view, v, u, arr, p1)
+                other = trees.get(v)
+                if other is None:
+                    other = trees[v] = _source_tree(view, v)
+                cands += _tree_ends(other, u, True)
+                pair = _tree_pair(cands)
+            if pair is None:
+                p1 = _end_path(cands[0]) if cands else None
+                pair = _strong_pair(view, v, u, tree[0], p1)
             if pair is None:
                 return StrongCheck(False, witnesses, (u, v))
             witnesses[(u, v)] = StrongWitness(
@@ -788,23 +805,48 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     return StrongCheck(True, witnesses)
 
 
+# ``(arr, states, parent, paths, first)``: a source's walk tree and which of
+# its walks are paths
+_SourceTree = tuple[list[int], list[tuple[int, int]], list[int], list[list[int]], list[int]]
+
+# ``(color at v, color at u, states, parent, j, far)``: the tree path to state
+# ``j`` as a proper v -> u path of a pair (u, v), u < v, with its end colors;
+# ``far`` when it comes from v's tree, where it runs u -> v
+_End = tuple[int, int, list[tuple[int, int]], list[int], int, bool]
+
+
+def _source_tree(view: _ColorView, s: int) -> _SourceTree:
+    """The walk tree from ``s`` with its simple states (:func:`_tree_paths`)."""
+    arr, states, parent = _walk_tree(view.inc, view.colors, s)
+    return (arr, states, parent, *_tree_paths(states, parent, len(view.inc)))
+
+
+def _tree_ends(tree: _SourceTree, t: int, far: bool) -> list[_End]:
+    """The simple states at ``t`` in ``tree`` as candidates. In u's tree
+    (``far`` false, ``t`` = v) a state's last color is the color at v; in v's
+    tree (``far``, ``t`` = u) its first color is."""
+    _, states, parent, paths, first = tree
+    if far:
+        return [(first[j], states[j][1], states, parent, j, True) for j in paths[t]]
+    return [(states[j][1], first[j], states, parent, j, False) for j in paths[t]]
+
+
+def _end_path(end: _End) -> tuple[int, ...]:
+    """The v -> u path of a candidate."""
+    _, _, states, parent, j, far = end
+    path = _tree_path(states, parent, j)
+    return path[::-1] if far else path
+
+
 def _tree_pair(
-    states: Sequence[tuple[int, int]],
-    parent: Sequence[int],
-    at: Sequence[int],
-    first: Sequence[int],
+    cands: Sequence[_End],
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Two tree paths whose colors differ at both ends, read back as
-    :func:`_tree_path` reads them, or None. ``at`` lists the states at one
-    vertex whose tree walks are paths, as ``_tree_paths`` gives them.
-    Distinct states at one vertex differ in their last colors, so only the
-    first colors need to differ."""
-    if len(at) < 2:
-        return None
-    j = at[0]
-    for i in at[1:]:
-        if first[i] != first[j]:
-            return _tree_path(states, parent, j), _tree_path(states, parent, i)
+    """The paths of the first two candidates, in list order, whose colors
+    differ at both ends, or None."""
+    for i, a in enumerate(cands):
+        for b in cands[i + 1 :]:
+            if a[0] != b[0] and a[1] != b[1]:
+                return _end_path(a), _end_path(b)
     return None
 
 

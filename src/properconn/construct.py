@@ -246,6 +246,11 @@ def color_3ec(g: Graph) -> EdgeColoring:
     lam = edge_connectivity(g)
     if lam < 3:
         raise PreconditionError(f"need 3-edge-connectivity, have kappa'={lam}")
+    return _color_3ec(g)
+
+
+def _color_3ec(g: Graph) -> EdgeColoring:
+    """:func:`color_3ec` for a caller that has checked its preconditions."""
     h = max_cut_bipartite_subgraph(g)
     if not is_connected(h) or bridges(h):
         raise InternalError(
@@ -464,7 +469,7 @@ def color_2connected_3(g: Graph) -> EdgeColoring:
     if bipartition(g) is not None:
         return strong_2_coloring_bipartite(g)  # 2-connected => bridgeless
     if edge_connectivity(g) >= 3 and not g.is_complete():
-        return color_3ec(g)
+        return _color_3ec(g)
     budget = max(2_000, min(150_000, 40_000_000 // max(1, g.n * g.m)))
     try:
         found = exists_pc_coloring(g, 2, require_strong=True, budget_nodes=budget)
@@ -960,7 +965,7 @@ def color_diam3(g: Graph) -> EdgeColoring:
     """
     dec = classify_diam3(g)
     if dec.case_tag == CASE_THREE_EC:
-        c = color_3ec(g)
+        c = _color_3ec(g)  # classify_diam3 checked noncomplete and lambda >= 3
     elif dec.case_tag in (CASE1_SUB11, CASE1_SUB12):
         c = _color_case1(g, dec)
     elif dec.case_tag == CASE2_ODD_CYCLE:

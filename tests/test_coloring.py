@@ -430,6 +430,22 @@ class TestWalkTree:
         monkeypatch.setattr(coloring, "_tree_paths", no_paths)
         _checks_match_oracles(random.Random(47), 300)
 
+    def test_far_end_tree_matches_brute_force(self, monkeypatch):
+        # the candidates from v's tree settle pairs that u's tree leaves
+        # open, with the oracle's verdict and valid witnesses
+        settled = 0
+        tree_pair = coloring._tree_pair
+
+        def counting(cands):
+            nonlocal settled
+            pair = tree_pair(cands)
+            settled += pair is not None and any(end[-1] for end in cands)  # v's tree
+            return pair
+
+        monkeypatch.setattr(coloring, "_tree_pair", counting)
+        _strong_matches_brute_force(random.Random(59))
+        assert settled > 0
+
     @pytest.mark.parametrize("n", (4, 6, 8, 10))
     def test_alternating_even_cycle_needs_no_search(self, n, monkeypatch):
         # both ways around the cycle are tree walks, and they differ in color

@@ -17,6 +17,7 @@ from properconn import (
     color_2connected_3,
     color_3ec,
     color_diam3,
+    coloring,
     construct,
     corpus,
     extend_vertex_addition,
@@ -276,22 +277,67 @@ class TestColor3ec:
             w.validate(g, c)
 
 
-    @pytest.mark.parametrize("s", [6, 10])
+    @pytest.mark.parametrize("s", [6, 10, 15])
     def test_two_complete_bipartite_blocks(self, s):
-        # Two K_{s,s} joined by three edges (n = 4s, edge connectivity 3). The
-        # BFS-parity cut leaves two joining edges uncut and no vertex flip
+        # The BFS-parity cut leaves two joining edges uncut and no vertex flip
         # helps, so the cut subgraph has a bridge until a cut move flips the
         # second block.
-        edges = []
-        for base in (0, 2 * s):
-            edges += [(base + i, base + s + j) for i in range(s) for j in range(s)]
-        edges += [(0, 2 * s), (1, 3 * s), (2, 3 * s + 1)]
-        g = Graph(4 * s, edges)
+        g = _two_complete_bipartite_blocks(s)
         assert edge_connectivity(g) == 3
         c = color_3ec(g)
         assert c.colors_used() == 2
         chk = has_strong_property(g, c)
         assert chk.ok and len(chk.witnesses) == g.n * (g.n - 1) // 2
+
+    @pytest.mark.parametrize(
+        "colorer, g",
+        [(color_diam3, corpus.prism(5)), (color_2connected_3, corpus.petersen())],
+        ids=["diam3", "2connected"],
+    )
+    def test_routes_compute_edge_connectivity_once(self, colorer, g, monkeypatch):
+        # both routes pick color_3ec's construction by the connectivity they
+        # computed, and it does not compute it again
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return edge_connectivity(h)
+
+        monkeypatch.setattr(construct, "edge_connectivity", counting)
+        assert has_strong_property(g, colorer(g)).ok
+        assert len(calls) == 1
+
+
+def _two_complete_bipartite_blocks(s):
+    """Two K_{s,s} joined by three edges (n = 4s, edge connectivity 3)."""
+    edges = []
+    for base in (0, 2 * s):
+        edges += [(base + i, base + s + j) for i in range(s) for j in range(s)]
+    edges += [(0, 2 * s), (1, 3 * s), (2, 3 * s + 1)]
+    return Graph(4 * s, edges)
+
+
+class TestStrongCheckOnConstructions:
+    @pytest.mark.parametrize("s", [6, 10, None], ids=["blocks6", "blocks10", "k33-ring"])
+    def test_walk_trees_settle_every_pair(self, s, k33, monkeypatch):
+        # the walk trees of a pair's two ends hold a witness for every pair
+        # of these colorings, so no path search runs
+        if s is None:
+            g, c = k33, construct._ring_decoration(k33)
+        else:
+            g = _two_complete_bipartite_blocks(s)
+            c = color_3ec(g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk trees should settle every pair")
+
+        monkeypatch.setattr(coloring, "_dfs_path", refuse)
+        monkeypatch.setattr(coloring, "_matching_path", refuse)
+        monkeypatch.setattr(coloring, "_matching_reach", refuse)
+        chk = has_strong_property(g, c)
+        assert chk.ok and len(chk.witnesses) == g.n * (g.n - 1) // 2
+        for w in chk.witnesses.values():
+            w.validate(g, c)
 
 
 class TestColor2Connected3:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every module-level private helper is referenced somewhere in the package."""
+"""Source hygiene: every name a library module or a test file imports is
+used in it, and every module-level private helper is referenced somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "properconn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,13 +30,14 @@ def unused_imports(source: str) -> list[str]:
 
 def test_the_scan_sees_an_unused_import():
     assert MODULES, f"no modules found under {SRC}"
+    assert Path(__file__).resolve() in TEST_FILES
     assert unused_imports("import os\nfrom typing import Optional\nos.sep\n") == [
         "Optional (line 2)"
     ]
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
