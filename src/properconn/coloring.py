@@ -769,10 +769,12 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
 
     A pair (u, v), u < v, is settled from the walk trees of both ends: the
     simple states at v in u's tree and at u in v's tree are proper paths, and
-    any two of them whose colors differ at both ends are the witness. v's
-    tree is built only when u's tree alone does not settle the pair, and it
-    is kept for v's own row; u's tree is dropped after u's row. Only a pair
-    that neither tree settles is searched, by :func:`_strong_pair`.
+    any two of them whose colors differ at both ends are the witness. u's
+    states are tried first, straight off its tree (:func:`_own_pair`); the
+    candidate list of both trees is built, and v's tree with it, only when
+    they do not settle the pair. v's tree is kept for v's own row; u's tree
+    is dropped after u's row. Only a pair that neither tree settles is
+    searched, by :func:`_strong_pair`.
     """
     c.validate(g)
     if g.n >= 2 and len(connected_components(g)) != 1:
@@ -782,16 +784,18 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     trees: dict[int, _SourceTree] = {}  # trees of later sources
     for u in range(g.n):
         tree = trees.pop(u, None) or _source_tree(view, u)
+        _, states, parent, paths, first = tree
         for v in range(u + 1, g.n):
             # candidate paths run v -> u, as _strong_pair searches them;
-            # reversed below so that the certificates run u -> v
-            cands = _tree_ends(tree, v, False)
-            pair = _tree_pair(cands)
+            # reversed below so that the certificates run u -> v. u's own
+            # states lead the candidate list, so they are tried before any
+            # list is built.
+            pair = _own_pair(states, parent, first, paths[v])
             if pair is None:
                 other = trees.get(v)
                 if other is None:
                     other = trees[v] = _source_tree(view, v)
-                cands += _tree_ends(other, u, True)
+                cands = _tree_ends(tree, v, False) + _tree_ends(other, u, True)
                 pair = _tree_pair(cands)
             if pair is None:
                 p1 = _end_path(cands[0]) if cands else None
@@ -836,6 +840,22 @@ def _end_path(end: _End) -> tuple[int, ...]:
     _, _, states, parent, j, far = end
     path = _tree_path(states, parent, j)
     return path[::-1] if far else path
+
+
+def _own_pair(
+    states: Sequence[tuple[int, int]],
+    parent: Sequence[int],
+    first: Sequence[int],
+    js: Sequence[int],
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """:func:`_tree_pair` of u's candidates alone, read straight off u's tree:
+    ``js`` are the simple states at v, whose last colors are the colors at v
+    and whose first colors are the colors at u."""
+    for x, j in enumerate(js):
+        for j2 in js[x + 1 :]:
+            if states[j][1] != states[j2][1] and first[j] != first[j2]:
+                return _tree_path(states, parent, j), _tree_path(states, parent, j2)
+    return None
 
 
 def _tree_pair(

@@ -35,6 +35,31 @@ The prune at a node that has just colored e = (a, b) with col asks, in order:
 All three answer exactly as one BFS from each end would, so the tree, its
 node count and every conflict are those of the plain rule.
 
+The siblings at depth d color the same edge e = (a, b) and agree on every
+other edge. Call a color fresh there when no other edge at a or b has it
+(``_plan``'s ``near[d]`` lists the colored ones). Two facts about walks let
+one prune answer many siblings:
+
+* equivalence: every fresh color gives the same vertex-to-vertex reach as
+  a color k+1 that no edge has. A walk that arrives at a by another edge
+  may go on along e, since no other edge at a has e's color, and then
+  along every edge at b but e itself; the same holds from b. That is how e
+  acts under k+1. So fresh siblings have the same replay, the same sweep
+  and the same conflict.
+* dominance: every color's reach lies inside that one. Recoloring e with
+  k+1 keeps every proper walk proper: the only step it could make improper
+  is e followed by e, which is improper under every color.
+
+So once a fresh sibling dies on a conflict, every later sibling dies on it
+with no BFS. Once a fresh sibling survives, a later fresh sibling survives
+as long as the conflict is still the one it survived with; when the
+subtree changed the conflict, only the replay runs, since the sweep does
+not read it. A memo survivor clears the sibling check's dead set, as
+``_prune`` does for every survivor. The set left by the earlier sibling's
+subtree is closed under that sibling's color of e, and the check at the
+next depth looks only across the edge colored there, so it would prune
+this subtree without a proof.
+
 The colored edges at depth d are always ``order[:d+1]``, so the sweep's pairs
 depend on the depth alone. ``_plan`` lists them per depth once per graph,
 cached on it like the incidence, and every search on the graph (each palette
@@ -134,15 +159,20 @@ def _end_reach(
 
 def _plan(
     g: Graph,
-) -> tuple[list[tuple[int, int]], list[int], list[list[tuple[int, list[int]]]]]:
-    """The exact search's plan for ``g``, ``(order, idx, needs)``, cached on
-    the graph.
+) -> tuple[
+    list[tuple[int, int]], list[int], list[list[tuple[int, list[int]]]], list[list[int]]
+]:
+    """The exact search's plan for ``g``, ``(order, idx, needs, near)``,
+    cached on the graph.
 
     ``order[d]`` is the edge colored at depth d (BFS order from vertex 0) and
     ``idx[d]`` its index in ``g.edges``. ``needs[d]`` pairs each end x of
     ``order[d]`` with the vertices of ``order[:d+1]`` at distance >= 2 from
     x, in first-appearance order; an end with no such vertex is left out.
-    Those are the pairs the endpoint sweep checks at depth d.
+    Those are the pairs the endpoint sweep checks at depth d. ``near[d]``
+    lists the ``g.edges`` indices of the edges of ``order[:d]`` that share an
+    end with ``order[d]``: the only other edges at its ends that have a color
+    at depth d.
     """
     try:
         return g._cache["search_plan"]
@@ -154,8 +184,14 @@ def _plan(
     dist = all_pairs_distances(g)
     seen = [False] * g.n
     touched: list[int] = []  # vertices of order[:d+1], first appearance first
+    at: list[list[int]] = [[] for _ in range(g.n)]  # indices of order[:d] per end
     needs = []
-    for e in order:
+    near = []
+    for e, i in zip(order, idx):
+        a, b = e
+        near.append(at[a] + at[b])
+        at[a].append(i)
+        at[b].append(i)
         for v in e:
             if not seen[v]:
                 seen[v] = True
@@ -167,7 +203,7 @@ def _plan(
             if need:
                 at_depth.append((x, need))
         needs.append(at_depth)
-    plan = g._cache["search_plan"] = (order, idx, needs)
+    plan = g._cache["search_plan"] = (order, idx, needs, near)
     return plan
 
 
@@ -181,16 +217,19 @@ class _Search:
         self.k = k
         self.require_strong = require_strong
         self.budget = budget_nodes
-        # the edge colored at each depth, its index in g.edges, and the pairs
-        # the endpoint sweep checks there (see _plan)
-        self.order, self.idx, self.needs = _plan(g)
+        # the edge colored at each depth, its index in g.edges, the pairs the
+        # endpoint sweep checks there and the colored edges at its ends (see
+        # _plan)
+        self.order, self.idx, self.needs, self.near = _plan(g)
         self.inc = _incidence(g)
         self.ecolor = [0] * g.m  # by g.edges index; 0 = uncolored
         self.nodes = 0
         self.leaves = 0
+        self.sibling_settled = 0  # nodes the fresh-sibling memo answered
         self.conflict: Optional[tuple[int, int]] = None
         # closed walk-state set that proved ``conflict`` dead at the node last
-        # pruned, at depth ``dead_depth``; None once a node survives
+        # pruned, at depth ``dead_depth``; None once a node survives, by the
+        # prune or by the fresh-sibling memo
         self.dead: Optional[list[int]] = None
         self.dead_depth = -1
 
@@ -269,18 +308,41 @@ class _Search:
                     self.conflict = sc.failing_pair
                     return None
             return cand
-        i, needs = self.idx[depth], self.needs[depth]
+        i, needs, ecolor = self.idx[depth], self.needs[depth], self.ecolor
+        # a color no other edge at e's ends has is fresh (see the module
+        # docstring): all fresh siblings have one reach, the largest of any
+        taken = {ecolor[j] for j in self.near[depth]}
+        swept = doomed = False  # a fresh sibling has survived / has died
+        memo = None  # the conflict the surviving fresh sibling saw
         for col in range(1, min(self.k, maxused + 1) + 1):
             self.nodes += 1
             if self.budget is not None and self.nodes > self.budget:
                 # one search proves no bound; pc_exact re-raises with its k
                 raise SearchBudgetExceeded(self.k, 1, self.nodes)
-            self.ecolor[i] = col
-            if not self._prune(depth, col, needs):
+            if doomed:
+                # a fresh sibling died on the conflict, so this one does too
+                self.sibling_settled += 1
+                continue
+            ecolor[i] = col
+            if col in taken:
+                pruned = self._prune(depth, col, needs)
+            elif swept and self.conflict is memo:
+                # the surviving fresh sibling's answer; no set from its
+                # subtree may serve this subtree's sibling checks
+                self.sibling_settled += 1
+                self.dead = None
+                pruned = False
+            else:
+                # once a fresh sibling has passed the sweep, the others skip
+                # it; a fresh sibling's death dooms every later sibling
+                pruned = doomed = self._prune(depth, col, () if swept else needs)
+                if not pruned:
+                    swept, memo = True, self.conflict
+            if not pruned:
                 got = self._descend(depth + 1, max(maxused, col))
                 if got is not None:
                     return got
-        self.ecolor[i] = 0
+        ecolor[i] = 0
         return None
 
 
@@ -307,6 +369,7 @@ def exists_pc_coloring(
         if stats_out is not None:
             stats_out["nodes"] = search.nodes
             stats_out["leaves"] = search.leaves
+            stats_out["sibling_settled"] = search.sibling_settled
             stats_out["runtime_s"] = time.perf_counter() - t0
     return got
 
@@ -329,7 +392,7 @@ def pc_exact(
         raise PreconditionError("proper connection number needs a connected graph")
     if k_max is None:
         k_max = max(g.m, 1)
-    stats: dict = {"per_k": {}, "nodes": 0}
+    stats: dict = {"per_k": {}, "nodes": 0, "sibling_settled": 0}
     t0 = time.perf_counter()
     budget_left = budget_nodes
     for k in range(1, k_max + 1):
@@ -341,6 +404,7 @@ def pc_exact(
             raise SearchBudgetExceeded(k, k, stats["nodes"] + search.nodes) from None
         stats["per_k"][k] = search.nodes
         stats["nodes"] += search.nodes
+        stats["sibling_settled"] += search.sibling_settled
         stats["runtime_s"] = time.perf_counter() - t0
         if budget_left is not None:
             budget_left -= search.nodes

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from properconn import (
+    EdgeColoring,
     PreconditionError,
     SearchBudgetExceeded,
     corpus,
@@ -248,6 +249,44 @@ def _levelwise_arrivals(inc, colors, source, target=-1):
     return arr
 
 
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """A one-element list counting the solver's walk BFS runs."""
+    calls = [0]
+    real_bfs = solver._walk_arrivals
+
+    def counting_bfs(*args, **kwargs):
+        calls[0] += 1
+        return real_bfs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_walk_arrivals", counting_bfs)
+    return calls
+
+
+def _plain_rule(g, dist, order, ecolor, conflict, depth):
+    """The prune as one rule with no shortcut: ``(pruned, conflict)`` at the
+    node that has just colored ``order[depth]``. It replays the last dead pair
+    with one walk BFS, then runs one BFS from each end of the edge just
+    colored and checks the ends of the colored edges two or more steps away,
+    in first-appearance order."""
+    inc, bfs = coloring._incidence(g), coloring._walk_arrivals
+    if conflict is not None and not bfs(inc, ecolor, *conflict)[conflict[1]]:
+        return True, conflict
+    eidx = g.edge_index()
+    touched = []
+    for e in order:
+        if ecolor[eidx[e]]:
+            touched += [v for v in e if v not in touched]
+    for x in order[depth]:
+        need = [y for y in touched if dist[x][y] >= 2]
+        if need:
+            reach = bfs(inc, ecolor, x)
+            for y in need:
+                if not reach[y]:
+                    return True, (min(x, y), max(x, y))
+    return False, conflict
+
+
 def _random_partial(rng):
     n = rng.randint(4, 12)
     g = corpus.random_connected(n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), rng)
@@ -293,41 +332,20 @@ class TestPrunePieces:
             assert base == coloring._walk_arrivals(inc, colors, [(a, col), (b, col)])
         assert extended > 50
 
-    def test_prune_matches_the_two_bfs_sweep_at_every_node(self, monkeypatch):
+    def test_prune_matches_the_two_bfs_sweep_at_every_node(self, monkeypatch, bfs_calls):
         # Every decision and conflict of the prune equals the replay-then-two-
         # BFS rule it replaces. A pruned node's next sibling is settled
         # without a BFS only when its closed set holds across e; the check
         # must fail (and the BFS decide) when the conflict comes alive again.
-        calls = [0]
-        real_bfs = solver._walk_arrivals
-
-        def counting_bfs(*args, **kwargs):
-            calls[0] += 1
-            return real_bfs(*args, **kwargs)
-
+        # Nodes the fresh-sibling memo answers never reach _prune; the
+        # TestPlainSearch searches cover them.
         dists = {}
 
         def old_rule(s, depth):
-            cf = s.conflict
-            if cf is not None and not real_bfs(s.inc, s.ecolor, *cf)[cf[1]]:
-                return True, cf
             if id(s.g) not in dists:
                 dists[id(s.g)] = (s.g, all_pairs_distances(s.g))
             dist = dists[id(s.g)][1]
-            # the ends of the colored edges, in first-appearance order
-            eidx = s.g.edge_index()
-            touched = []
-            for e in s.order:
-                if s.ecolor[eidx[e]]:
-                    touched += [v for v in e if v not in touched]
-            for x in s.order[depth]:
-                need = [y for y in touched if dist[x][y] >= 2]
-                if need:
-                    reach = real_bfs(s.inc, s.ecolor, x)
-                    for y in need:
-                        if not reach[y]:
-                            return True, (min(x, y), max(x, y))
-            return False, cf
+            return _plain_rule(s.g, dist, s.order, s.ecolor, s.conflict, depth)
 
         seen = {"settled_by_check": 0, "check_failed_pruned": 0, "check_failed_alive": 0}
         real_prune = solver._Search._prune
@@ -335,17 +353,16 @@ class TestPrunePieces:
         def checked_prune(self, depth, col, needs):
             want = old_rule(self, depth)
             sibling = self.dead is not None and self.dead_depth == depth
-            before = calls[0]
+            before = bfs_calls[0]
             got = real_prune(self, depth, col, needs)
             assert (got, self.conflict) == want
             if sibling:
-                if calls[0] == before:
+                if bfs_calls[0] == before:
                     seen["settled_by_check"] += 1
                 else:
                     seen["check_failed_pruned" if got else "check_failed_alive"] += 1
             return got
 
-        monkeypatch.setattr(solver, "_walk_arrivals", counting_bfs)
         monkeypatch.setattr(solver._Search, "_prune", checked_prune)
         rng = random.Random(47)
         for _ in range(30):
@@ -354,6 +371,42 @@ class TestPrunePieces:
             pc_exact(g)
         pc_exact(corpus.petersen())
         assert all(seen.values()), seen
+
+    def test_fresh_color_reach_is_the_largest(self):
+        # Recolor edge i = (a, b). A color no other edge at a or b has (fresh)
+        # gives the same vertex reach from every source as k + 1, a color no
+        # edge has, and every color's reach lies inside that one.
+        rng = random.Random(59)
+        fresh_seen = 0
+        for _ in range(300):
+            g, colors = _random_partial(rng)
+            inc = coloring._incidence(g)
+            k = max(colors)
+            i = rng.randrange(g.m)
+            a, b = g.edges[i]
+            taken = {colors[j] for x in (a, b) for _, j in inc[x] if j != i}
+
+            def reach(col):
+                colors[i] = col
+                return [
+                    {w for w, bits in enumerate(coloring._walk_arrivals(inc, colors, s)) if bits}
+                    for s in range(g.n)
+                ]
+
+            top = reach(k + 1)
+            assert top == [
+                oracles.brute_walk_reach(g, _Wild(g, colors), s) for s in range(g.n)
+            ]
+            for col in range(1, k + 1):
+                got = reach(col)
+                assert got == [
+                    oracles.brute_walk_reach(g, _Wild(g, colors), s) for s in range(g.n)
+                ]
+                assert all(r <= t for r, t in zip(got, top))
+                if col not in taken:
+                    fresh_seen += 1
+                    assert got == top
+        assert fresh_seen > 100
 
     def test_sibling_check_fails_when_the_new_color_opens_the_pair(self):
         # Path 0-1-2-3 with (0, 1) colored 1: coloring (1, 2) with 1 kills the
@@ -420,12 +473,119 @@ class TestSearchTreePins:
         assert res.stats["per_k"] == {k: nodes for k, (nodes, _) in enumerate(want, 1)}
         assert res.coloring == found
 
+    @pytest.mark.parametrize("i, settled, bfs", [(0, 1456, 3889), (2, 2635, 5278)])
+    def test_fresh_sibling_memo_counts(self, bfs_calls, i, settled, bfs):
+        # nodes the memo answers, and walk BFS runs, over pc_exact; without
+        # the memo the BFS runs are 5,326 and 7,889
+        res = pc_exact(_pinned_graphs()[i])
+        assert (res.stats["sibling_settled"], bfs_calls[0]) == (settled, bfs)
+        stats = {}
+        exists_pc_coloring(_pinned_graphs()[i], res.value, stats_out=stats)
+        assert 0 < stats["sibling_settled"] < settled
+
     def test_mini_strong_budget(self, mini):
         stats = {}
         with pytest.raises(SearchBudgetExceeded) as ei:
             exists_pc_coloring(mini, 2, require_strong=True, budget_nodes=49382, stats_out=stats)
         assert ei.value.nodes == 49383
         assert stats["leaves"] == 1396
+
+
+class _PlainSearch:
+    """The exact search with ``_plain_rule`` at every node: the same edge
+    order, canonical colors and leaf checks, but no plan, no sibling check and
+    no fresh-sibling memo."""
+
+    def __init__(self, g, k, require_strong=False):
+        self.g, self.k, self.require_strong = g, k, require_strong
+        self.order = solver._bfs_edge_order(g)
+        self.dist = all_pairs_distances(g)
+        self.ecolor = [0] * g.m
+        self.nodes = self.leaves = 0
+        self.conflict = None
+
+    def descend(self, depth=0, maxused=0):
+        g = self.g
+        if depth == g.m:
+            self.leaves += 1
+            c = EdgeColoring.from_vector(g, self.k, self.ecolor)
+            ok, pair = is_proper_connected(g, c)
+            if ok and self.require_strong:
+                chk = has_strong_property(g, c)
+                ok, pair = chk.ok, chk.failing_pair
+            if ok:
+                return c
+            self.conflict = pair
+            return None
+        i = g.edge_index()[self.order[depth]]
+        for col in range(1, min(self.k, maxused + 1) + 1):
+            self.nodes += 1
+            self.ecolor[i] = col
+            pruned, self.conflict = _plain_rule(
+                g, self.dist, self.order, self.ecolor, self.conflict, depth
+            )
+            if not pruned:
+                got = self.descend(depth + 1, max(maxused, col))
+                if got is not None:
+                    return got
+        self.ecolor[i] = 0
+        return None
+
+
+def _assert_plain_tree(g, ks, require_strong=False):
+    """``exists_pc_coloring`` at each k in ``ks`` searches the plain tree:
+    same nodes, leaves and witness. Returns the plain searches' node counts."""
+    per_k = {}
+    for k in ks:
+        plain = _PlainSearch(g, k, require_strong)
+        want = plain.descend()
+        stats = {}
+        got = exists_pc_coloring(g, k, require_strong, stats_out=stats)
+        assert (stats["nodes"], stats["leaves"]) == (plain.nodes, plain.leaves), (g, k)
+        assert got == want, (g, k)
+        per_k[k] = plain.nodes
+        if want is not None:
+            break
+    return per_k
+
+
+class TestPlainSearch:
+    """The fresh-sibling memo answers nodes that never reach ``_prune``, so
+    these compare whole searches with the plain rule applied at every node."""
+
+    def test_trees(self):
+        rng = random.Random(61)
+        done = 0
+        while done < 40:
+            n = rng.randint(9, 11)
+            g = corpus.random_connected(n, n - 1, rng)
+            delta = g.max_degree()
+            if not 4 <= delta <= 5:
+                continue
+            done += 1
+            per_k = _assert_plain_tree(g, range(1, delta + 1))
+            res = pc_exact(g)
+            assert res.value == delta
+            assert res.stats["per_k"] == per_k
+            assert res.coloring == exists_pc_coloring(g, delta)
+
+    def test_small_graphs(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            n = rng.randint(5, 8)
+            g = corpus.random_connected(n, rng.randint(n - 1, 3 * n // 2), rng)
+            per_k = _assert_plain_tree(g, range(1, g.m + 1))
+            res = pc_exact(g)
+            assert res.stats["per_k"] == per_k
+            assert res.value == max(per_k)
+
+    def test_strong_tries(self):
+        rng = random.Random(71)
+        for _ in range(12):
+            n = rng.randint(5, 7)
+            g = corpus.random_connected(n, rng.randint(n, n + 3), rng)
+            for k in (2, 3):
+                _assert_plain_tree(g, [k], require_strong=True)
 
 
 class TestSearchPlan:
@@ -449,10 +609,15 @@ class TestSearchPlan:
 
     def test_needs_match_the_rule_at_every_depth(self, mini):
         for g in _pinned_graphs() + [corpus.petersen(), mini]:
-            order, idx, needs = solver._plan(g)
+            order, idx, needs, near = solver._plan(g)
             assert order == solver._bfs_edge_order(g)
             assert [g.edges[i] for i in idx] == order
             assert needs == self._want_needs(g, order)
+            # the edges colored before depth d that share an end with order[d]
+            assert [sorted(js) for js in near] == [
+                sorted(idx[j] for j in range(d) if set(order[j]) & set(e))
+                for d, e in enumerate(order)
+            ]
             assert solver._plan(g) is solver._plan(g)
 
     def test_pc_exact_builds_the_plan_once(self, monkeypatch):
