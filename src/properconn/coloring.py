@@ -22,8 +22,9 @@ source, the same BFS with each state's parent kept, ``_walk_tree``, and read
 the walk to every state back; a walk that repeats no vertex is a proper path,
 and so is each of its prefixes. A pair with such a path is settled. The
 strong check needs two whose colors differ at both ends, and it reads them
-from the trees of both ends of a pair, since a path reversed is a path. Only
-the pairs the trees leave open are searched.
+from the trees of both ends of a pair, since a path reversed is a path; one
+linear rule, ``_witness``, picks them from any list of paths. Only the pairs
+the trees leave open are searched.
 
 Every path search is one query, ``_one_path``: a proper s-t path whose
 first color avoids one given color and whose last color avoids another (or
@@ -37,9 +38,10 @@ the smaller end is that prune. The DFS runs under a small step budget, and a
 polynomial fallback settles whatever it leaves open: Edmonds' blossom search
 on Szeider's gadget graph, where a proper s-t path is an augmenting path and
 an end color is forbidden by where the end's pendant hangs. So every query
-settles. The strong check needs at most four queries for a pair the trees
-leave open, three when a tree gave one path, and the gadget analysis one per
-escape route. Certificates are always validated before being returned.
+settles. The strong check needs at most three queries for a pair the trees
+leave open, two when a tree gave one path, each with at most one end color
+forbidden; the gadget analysis needs one per escape route. Certificates are
+always validated before being returned.
 """
 
 from __future__ import annotations
@@ -765,16 +767,16 @@ class StrongCheck:
 
 def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     """Strong proper connectivity: every pair carries two proper paths with
-    distinct start colors and distinct end colors. Witnesses are validated.
+    distinct start colors and distinct end colors. Witnesses are validated:
+    each path is checked, and the two are checked to differ at both ends.
 
     A pair (u, v), u < v, is settled from the walk trees of both ends: the
     simple states at v in u's tree and at u in v's tree are proper paths, and
-    any two of them whose colors differ at both ends are the witness. u's
-    states are tried first, straight off its tree (:func:`_own_pair`); the
-    candidate list of both trees is built, and v's tree with it, only when
-    they do not settle the pair. v's tree is kept for v's own row; u's tree
-    is dropped after u's row. Only a pair that neither tree settles is
-    searched, by :func:`_strong_pair`.
+    :func:`_witness` picks two of them whose colors differ at both ends. u's
+    states are tried first; v's tree is built, and its states added, only
+    when they do not settle the pair. v's tree is kept for v's own row; u's
+    tree is dropped after u's row. Only a pair that neither tree settles is
+    searched, by :func:`_strong_pair`, under the same rule.
     """
     c.validate(g)
     if g.n >= 2 and len(connected_components(g)) != 1:
@@ -784,28 +786,26 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     trees: dict[int, _SourceTree] = {}  # trees of later sources
     for u in range(g.n):
         tree = trees.pop(u, None) or _source_tree(view, u)
-        _, states, parent, paths, first = tree
         for v in range(u + 1, g.n):
             # candidate paths run v -> u, as _strong_pair searches them;
-            # reversed below so that the certificates run u -> v. u's own
-            # states lead the candidate list, so they are tried before any
-            # list is built.
-            pair = _own_pair(states, parent, first, paths[v])
-            if pair is None:
-                other = trees.get(v)
-                if other is None:
-                    other = trees[v] = _source_tree(view, v)
-                cands = _tree_ends(tree, v, False) + _tree_ends(other, u, True)
-                pair = _tree_pair(cands)
-            if pair is None:
-                p1 = _end_path(cands[0]) if cands else None
-                pair = _strong_pair(view, v, u, tree[0], p1)
+            # reversed below so that the certificates run u -> v
+            cands = _tree_ends(tree, v, False)
+            pick = _witness(cands)
+            if pick is None:
+                trees[v] = trees.get(v) or _source_tree(view, v)
+                cands += _tree_ends(trees[v], u, True)
+                pick = _witness(cands)
+            if pick is None:
+                pair = _strong_pair(view, v, u, tree[0], cands)
+            else:
+                pair = _end_path(cands[pick[0]]), _end_path(cands[pick[1]])
             if pair is None:
                 return StrongCheck(False, witnesses, (u, v))
-            witnesses[(u, v)] = StrongWitness(
-                certificate_from_path(g, c, pair[0][::-1]),
-                certificate_from_path(g, c, pair[1][::-1]),
-            )
+            p1 = certificate_from_path(g, c, pair[0][::-1])
+            p2 = certificate_from_path(g, c, pair[1][::-1])
+            if p1.colors[0] == p2.colors[0] or p1.colors[-1] == p2.colors[-1]:
+                raise InternalError(f"strong witness for {(u, v)} shares an end color")
+            witnesses[(u, v)] = StrongWitness(p1, p2)
     return StrongCheck(True, witnesses)
 
 
@@ -842,31 +842,33 @@ def _end_path(end: _End) -> tuple[int, ...]:
     return path[::-1] if far else path
 
 
-def _own_pair(
-    states: Sequence[tuple[int, int]],
-    parent: Sequence[int],
-    first: Sequence[int],
-    js: Sequence[int],
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """:func:`_tree_pair` of u's candidates alone, read straight off u's tree:
-    ``js`` are the simple states at v, whose last colors are the colors at v
-    and whose first colors are the colors at u."""
-    for x, j in enumerate(js):
-        for j2 in js[x + 1 :]:
-            if states[j][1] != states[j2][1] and first[j] != first[j2]:
-                return _tree_path(states, parent, j), _tree_path(states, parent, j2)
-    return None
+def _witness(ends: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """Indices of two entries whose colors differ at both ends, or None when
+    no two do; ``ends[i][0]`` and ``ends[i][1]`` are the first and last
+    colors of path i.
 
-
-def _tree_pair(
-    cands: Sequence[_End],
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The paths of the first two candidates, in list order, whose colors
-    differ at both ends, or None."""
-    for i, a in enumerate(cands):
-        for b in cands[i + 1 :]:
-            if a[0] != b[0] and a[1] != b[1]:
-                return _end_path(a), _end_path(b)
+    One pass decides it, by this lemma. Let (a, b) be the first entry. Two
+    entries differ at both ends exactly when one of them differs from (a, b)
+    at both ends, or one does not start with a and another does not end
+    with b. Proof: take two entries that differ at both ends, neither of
+    which differs from (a, b) at both ends. They do not both start with a;
+    the one that does not must end with b, so the other does not end with b.
+    Conversely, the first entry pairs with any entry that differs from it
+    at both ends; and an entry (x, .) with x != a and an entry (., y) with
+    y != b are, unless one of them differs from (a, b) at both ends, (x, b)
+    and (a, y), which differ at both ends.
+    """
+    a, b = ends[0][:2] if ends else (0, 0)
+    i = j = -1  # an entry that does not start with a; one that does not end with b
+    for k, e in enumerate(ends[1:], 1):
+        if e[0] != a and e[1] != b:
+            return 0, k
+        if e[0] != a:
+            i = k
+        elif e[1] != b:
+            j = k
+        if i >= 0 and j >= 0:
+            return i, j
     return None
 
 
@@ -875,30 +877,33 @@ def _strong_pair(
     s: int,
     t: int,
     arr: Sequence[int],
-    p1: Optional[tuple[int, ...]] = None,
+    known: Sequence[_End],
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Two proper s->t paths whose first colors differ and whose last colors
-    differ, or None; ``arr`` as in :func:`_dfs_path`. At most four queries,
-    and three when ``p1``, a proper s->t path, is given.
+    differ, or None; ``arr`` as in :func:`_dfs_path`. ``known`` lists the
+    walk trees' s->t paths, no two of which differ at both ends.
 
-    Take any path P1, with first color a and last color b. A path that avoids
-    a first and b last pairs with it. When there is none, every path starts
-    with a or ends with b, so two paths that differ at both ends must be one
-    that starts with a but does not end with b, and one that ends with b but
-    does not start with a: a path avoiding a first and one avoiding b last.
+    Let P1, with first color a and last color b, be the first known path,
+    or a queried one when none is known. By :func:`_witness`'s lemma the
+    pair is strong exactly when some path does not start with a and some
+    path does not end with b. Each is a known path when one qualifies, else
+    a query that forbids that one end color, and the search stops once the
+    paths in hand hold a witness. So there are at most three queries, and
+    two when a tree gave a path, since by the lemma ``known`` does not
+    supply both.
     """
-    if p1 is None:
-        p1 = _one_path(view, s, t, arr)
-        if p1 is None:
-            return None
     colors, eidx = view.colors, view.g.edge_index()
-    a = colors[eidx[_norm(p1[0], p1[1])]]
-    b = colors[eidx[_norm(p1[-2], p1[-1])]]
-    p2 = _one_path(view, s, t, arr, a, b)
-    if p2 is not None:
-        return p1, p2
-    q1 = _one_path(view, s, t, arr, first_not=a)
-    if q1 is None:
-        return None
-    q2 = _one_path(view, s, t, arr, last_not=b)
-    return None if q2 is None else (q1, q2)
+    found: list[tuple[int, int, tuple[int, ...]]] = []  # (first color, last color, path)
+    # P1; then a path not starting with P1's first color; then one not
+    # ending with its last color
+    for avoid_a, avoid_b in ((0, 0), (1, 0), (0, 1)):
+        first_not, last_not = avoid_a and found[0][0], avoid_b and found[0][1]
+        e = next((e for e in known if e[0] != first_not and e[1] != last_not), None)
+        p = _end_path(e) if e else _one_path(view, s, t, arr, first_not, last_not)
+        if p is None:
+            return None
+        found.append((colors[eidx[_norm(p[0], p[1])]], colors[eidx[_norm(p[-2], p[-1])]], p))
+        pick = _witness(found)
+        if pick is not None:
+            return found[pick[0]][2], found[pick[1]][2]
+    raise InternalError(f"the strong lemma left {s}-{t} without a witness")

@@ -45,7 +45,6 @@ from .graph import (
     maximal_2ec_bipartite_subgraph,
     maximum_matching,
     odd_cycle,
-    shortest_even_cycle,
     two_fan,
 )
 from .coloring import (
@@ -621,18 +620,22 @@ def _classify_case1(
 
 
 def _classify_case2(g: Graph) -> Diam3Decomposition:
-    if shortest_even_cycle(g) is None:
-        if any(g.degree(v) != 2 for v in range(g.n)):
-            raise InternalError(
-                "2-connected graph without even cycles must be a cycle"
-            )
+    # g is 2-connected, so it has no even cycle exactly when it is an odd
+    # cycle: a 2-connected graph that is not a cycle contains a theta, and two
+    # of a theta's three paths have the same parity and close an even cycle.
+    # The core search looks for the seed even cycle itself.
+    if g.n % 2 and all(g.degree(v) == 2 for v in range(g.n)):
         order = [0, g.adj[0][0]]
         while len(order) < g.n:
             u, p = order[-1], order[-2]
             order.append(next(w for w in g.adj[u] if w != p))
         return Diam3Decomposition(case_tag=CASE2_ODD_CYCLE, odd_cycle=tuple(order))
-
-    core = maximal_2ec_bipartite_subgraph(g)
+    try:
+        core = maximal_2ec_bipartite_subgraph(g)
+    except PreconditionError:  # no even cycle
+        raise InternalError(
+            "2-connected graph without even cycles must be a cycle"
+        ) from None
     vcore = set(core.vertices)
     core_edges = set(core.edges)
     for v in range(g.n):

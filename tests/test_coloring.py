@@ -296,6 +296,90 @@ class TestHasStrongProperty:
     def test_matches_brute_force(self):
         _strong_matches_brute_force(random.Random(13))
 
+    @pytest.mark.parametrize("end", (0, 1))
+    def test_witness_sharing_an_end_color_is_an_internal_error(self, end, monkeypatch):
+        # a rule that returns two paths with the same color at one end, when
+        # the list has two, must not get past the check
+        witness = coloring._witness
+
+        def sharing(ends):
+            for i, j in itertools.combinations(range(len(ends)), 2):
+                if ends[i][end] == ends[j][end] and ends[i][1 - end] != ends[j][1 - end]:
+                    return i, j
+            return witness(ends)
+
+        monkeypatch.setattr(coloring, "_witness", sharing)
+        rng = random.Random(67)
+        raised = 0
+        for _ in range(20):
+            g, c = _random_colored(rng, 6, 9, 3)
+            try:
+                has_strong_property(g, c)
+            except InternalError as exc:
+                assert "shares an end color" in str(exc)
+                raised += 1
+        assert raised
+
+
+class TestWitnessRule:
+    """``_witness``, the one pairing rule of the strong check, and the query
+    budget it gives ``_strong_pair``."""
+
+    def test_matches_a_pair_scan_on_every_short_list(self):
+        profiles = list(itertools.product((1, 2, 3), repeat=2))
+        for size in range(6):
+            for ends in itertools.product(profiles, repeat=size):
+                pick = coloring._witness(ends)
+                if pick is None:
+                    assert not any(
+                        p[0] != q[0] and p[1] != q[1]
+                        for p, q in itertools.combinations(ends, 2)
+                    )
+                else:
+                    p, q = ends[pick[0]], ends[pick[1]]
+                    assert p[0] != q[0] and p[1] != q[1]
+
+    @pytest.mark.parametrize("tree_paths", (True, False), ids=("trees", "no-trees"))
+    def test_query_budget(self, tree_paths, monkeypatch):
+        # at most two one-end queries per open pair when a tree gave a path,
+        # three when none did; verdicts and failing pairs as the oracle's
+        calls = 0
+        one_path, strong_pair = coloring._one_path, coloring._strong_pair
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return one_path(*args, **kwargs)
+
+        most = {True: 0, False: 0}  # did a tree give a path -> most queries
+
+        def budgeted(*args):
+            before = calls
+            pair = strong_pair(*args)
+            gave = bool(args[4])
+            most[gave] = max(most[gave], calls - before)
+            return pair
+
+        def no_paths(states, parent, n):
+            return [[] for _ in range(n)], [0] * len(states)
+
+        monkeypatch.setattr(coloring, "_one_path", counting)
+        monkeypatch.setattr(coloring, "_strong_pair", budgeted)
+        if not tree_paths:
+            monkeypatch.setattr(coloring, "_tree_paths", no_paths)
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+            g, c = _random_colored(rng, n, m, rng.randint(2, 4))
+            chk = has_strong_property(g, c)
+            want = oracles.brute_strong(g, c)
+            assert (chk.ok, chk.failing_pair) == (want is None, want)
+            _check_witnesses(g, c, chk)
+        assert most[True] <= 2 and most[False] <= 3
+        # the budget is reached, so the counts can see a query too many
+        assert most[tree_paths] == (2 if tree_paths else 3)
+
 
 def _strong_matches_brute_force(rng):
     """Seeded colorings (k 2-4) against the brute-force strong oracle, drawn
@@ -434,15 +518,16 @@ class TestWalkTree:
         # the candidates from v's tree settle pairs that u's tree leaves
         # open, with the oracle's verdict and valid witnesses
         settled = 0
-        tree_pair = coloring._tree_pair
+        witness = coloring._witness
 
-        def counting(cands):
+        def counting(ends):
             nonlocal settled
-            pair = tree_pair(cands)
-            settled += pair is not None and any(end[-1] for end in cands)  # v's tree
+            pair = witness(ends)
+            # a candidate from v's tree ends with its flag ``far``, True
+            settled += pair is not None and any(ends[i][-1] is True for i in pair)
             return pair
 
-        monkeypatch.setattr(coloring, "_tree_pair", counting)
+        monkeypatch.setattr(coloring, "_witness", counting)
         _strong_matches_brute_force(random.Random(59))
         assert settled > 0
 

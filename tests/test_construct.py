@@ -21,6 +21,7 @@ from properconn import (
     construct,
     corpus,
     extend_vertex_addition,
+    graph,
     grow_by_degree2_additions,
     has_strong_property,
     is_proper_connected,
@@ -409,6 +410,31 @@ class TestClassifyDiam3:
         assert dec.case_tag == CASE2_BIPARTITE
         assert dec.pair_components == ((6, 7, 0, 1),)
         assert dec.classes == (((0, 1), (0,)),)  # one class, one member pair
+
+    def test_case2_searches_for_an_even_cycle_once(self, monkeypatch):
+        # an odd cycle is told by its degrees; the core search finds its own
+        # seed cycle, so classification searches no second time
+        calls = 0
+        even_cycle = graph.shortest_even_cycle
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return even_cycle(g)
+
+        monkeypatch.setattr(graph, "shortest_even_cycle", counting)
+        # and the name in construct, should it import the function again
+        monkeypatch.setattr(construct, "shortest_even_cycle", counting, raising=False)
+        assert classify_diam3(_k33_with_pair()).case_tag == CASE2_BIPARTITE
+        assert calls == 1
+        assert classify_diam3(corpus.cycle(7)).case_tag == CASE2_ODD_CYCLE
+        assert calls == 1
+
+    def test_case2_without_an_even_cycle_must_be_a_cycle(self):
+        # two triangles sharing a vertex: no even cycle, and not a cycle
+        bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        with pytest.raises(InternalError, match="must be a cycle"):
+            construct._classify_case2(bowtie)
 
     def test_wide_two_cut_matches_the_pairwise_definition(self):
         # Sparse graphs have bridges, so some removals leave three
