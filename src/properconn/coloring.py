@@ -36,8 +36,9 @@ finish exactly when some arrival color at ``w`` differs from ``col``. The
 all-pairs checks search each pair from its larger end, so the sweep's BFS from
 the smaller end is that prune. The DFS runs under a small step budget, and a
 polynomial fallback settles whatever it leaves open: Edmonds' blossom search
-on Szeider's gadget graph, where a proper s-t path is an augmenting path and
-an end color is forbidden by where the end's pendant hangs. So every query
+(``graph._blossom_search``, shared with the diameter-3 core's ear search) on
+Szeider's gadget graph, where a proper s-t path is an augmenting path and an
+end color is forbidden by where the end's pendant hangs. So every query
 settles. The strong check needs at most three queries for a pair the trees
 leave open, two when a tree gave one path, each with at most one end color
 forbidden; the gadget analysis needs one per escape route. Certificates are
@@ -54,6 +55,7 @@ from .graph import (
     Graph,
     InternalError,
     PreconditionError,
+    _blossom_search,
     _norm,
     connected_components,
 )
@@ -588,74 +590,6 @@ class _Gadget:
             for z in hooks:
                 adj[z] += (r,)
         return adj, self.mate + [-1] * len(ends)
-
-
-def _blossom_search(
-    adj: Sequence[Sequence[int]], mate: list[int], root: int
-) -> tuple[list[bool], list[int], int]:
-    """Edmonds' search for an augmenting path from the exposed ``root``.
-
-    Returns ``(outer, parent, end)``: ``end`` is the first other exposed
-    node reached, or -1 when none is, and then ``outer`` marks exactly the
-    nodes an even alternating path from the root reaches. From ``end``,
-    ``parent`` and ``mate`` alternate back to the root along the augmenting
-    path.
-    """
-    n = len(adj)
-    base = list(range(n))
-    members: dict[int, list[int]] = {}  # base -> nodes of its blossom
-    parent = [-1] * n
-    outer = [False] * n
-    outer[root] = True
-    queue = [root]
-
-    def lca(a: int, b: int) -> int:
-        seen = set()
-        while True:
-            a = base[a]
-            seen.add(a)
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if b in seen:
-                return b
-            b = parent[mate[b]]
-
-    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while base[v] != b:
-            blossom.add(base[v])
-            blossom.add(base[mate[v]])
-            parent[v] = child
-            child = mate[v]
-            v = parent[child]
-
-    for v in queue:
-        for w in adj[v]:
-            if base[v] == base[w] or mate[v] == w:
-                continue
-            if outer[w]:
-                # an edge between two outer nodes closes a blossom: contract it
-                b = lca(v, w)
-                blossom: set[int] = set()
-                mark(v, b, w, blossom)
-                mark(w, b, v, blossom)
-                inside = members.setdefault(b, [b])
-                for old in blossom - {b}:
-                    for x in members.pop(old, [old]):
-                        base[x] = b
-                        inside.append(x)
-                        if not outer[x]:
-                            outer[x] = True
-                            queue.append(x)
-            elif parent[w] == -1:
-                parent[w] = v
-                if mate[w] == -1:
-                    return outer, parent, w
-                outer[mate[w]] = True
-                queue.append(mate[w])
-    return outer, parent, -1
 
 
 def _matching_reach(view: _ColorView, s: int) -> list[bool]:

@@ -939,6 +939,8 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
             asg[_norm(ax, x)] = 1
             asg[(x, y)] = 2
             asg[_norm(y, ay)] = 1
+    if not dec.singletons:
+        return EdgeColoring(2, asg)  # the body is g, and color_diam3 checks it
     body = sorted(set(range(g.n)) - set(dec.singletons))
     sub, vmap = g.induced(body)
     ok, pair = is_proper_connected(sub, EdgeColoring(2, _to_local(asg, sub, vmap)))
@@ -947,17 +949,15 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
             f"core-plus-strays coloring leaves {tuple(vmap[t] for t in pair)} "
             "unconnected — falsifies the narrow-cut construction"
         )
-    if dec.singletons:
-        chain: list[tuple[int, ...]] = []
-        full = grow_by_degree2_additions(
-            g,
-            body,
-            EdgeColoring(2, {e: asg[e] for e in asg}),
-            chain_out=chain,
-        )
-        dec.chain = tuple(chain)
-        return full
-    return EdgeColoring(2, asg)
+    chain: list[tuple[int, ...]] = []
+    full = grow_by_degree2_additions(
+        g,
+        body,
+        EdgeColoring(2, {e: asg[e] for e in asg}),
+        chain_out=chain,
+    )
+    dec.chain = tuple(chain)
+    return full
 
 
 def color_diam3(g: Graph) -> EdgeColoring:

@@ -5,13 +5,18 @@ of the package leans on: connectivity and edge connectivity, bridges and cut
 vertices, bipartiteness, diameter, two-fans (Menger), maximum cuts, maximal
 2-edge-connected bipartite subgraphs, and bipartite matching.
 
+Edmonds' blossom search for an augmenting path, ``_blossom_search``, lives
+here and has two users: the proper-path queries of ``coloring``, on Szeider's
+gadget graph, and the ear search that grows a maximal 2-edge-connected
+bipartite subgraph, on a doubled graph where an augmenting path is a path of
+given parity.
+
 Everything is deterministic: neighbor lists are sorted, searches scan vertices
 in ascending order, and ties break lexicographically.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -652,120 +657,169 @@ def max_cut_bipartite_subgraph(g: Graph) -> Graph:
             return h
 
 
-# -- shortest even cycle / maximal 2EC bipartite subgraph ---------------------
+# -- Edmonds' blossom search ---------------------------------------------------
 
 
-def shortest_even_cycle(g: Graph) -> Optional[list[int]]:
-    """Vertex sequence of a shortest even cycle, or None.
+def _blossom_search(
+    adj: Sequence[Sequence[int]], mate: list[int], root: int
+) -> tuple[list[bool], list[int], int]:
+    """Edmonds' search for an augmenting path from the exposed ``root``.
 
-    Ties break on the lexicographically smallest vertex sequence among cycles
-    rooted at their minimum vertex.
+    Returns ``(outer, parent, end)``: ``end`` is the first other exposed
+    node reached, or -1 when none is, and then ``outer`` marks exactly the
+    nodes an even alternating path from the root reaches. From ``end``,
+    ``parent`` and ``mate`` alternate back to the root along the augmenting
+    path.
     """
-    for length in range(4, g.n + 1, 2):
-        found: list[list[int]] = []
-        for start in range(g.n):
-            stack = [(start, [start])]
-            while stack:
-                u, path = stack.pop()
-                if len(path) == length:
-                    if path[1] < path[-1] and g.has_edge(u, start):
-                        found.append(path)
-                    continue
-                for w in reversed(g.adj[u]):
-                    if w > start and w not in path:
-                        stack.append((w, path + [w]))
-        if found:
-            return min(found)
+    n = len(adj)
+    base = list(range(n))
+    members: dict[int, list[int]] = {}  # base -> nodes of its blossom
+    parent = [-1] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if outer[w]:
+                # an edge between two outer nodes closes a blossom: contract it
+                b = lca(v, w)
+                blossom: set[int] = set()
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                inside = members.setdefault(b, [b])
+                for old in blossom - {b}:
+                    for x in members.pop(old, [old]):
+                        base[x] = b
+                        inside.append(x)
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    return outer, parent, w
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return outer, parent, -1
+
+
+# -- maximal 2EC bipartite subgraph --------------------------------------------
+
+
+def _ear(g: Graph, side: dict[int, int]) -> Optional[list[int]]:
+    """The first ear of the core whose vertices ``side`` maps to 0 or 1, or
+    None when the core has no ear.
+
+    An ear is a path x...y between core vertices, or a cycle through x when
+    x = y, whose interior is non-empty and lies outside the core and whose
+    length has the parity side[x] ^ side[y], so that the core stays
+    bipartite with it. Such parity paths are augmenting paths of a doubled
+    graph (LaPaugh and Papadimitriou, Networks 14 (1984) 507-513). Outside
+    vertex i has a first copy 2i and a second copy 2i+1, matched to each
+    other, and each copy carries i's outside edges among copies of its own
+    kind. The root x hangs on the first copy of its outside neighbour v, so
+    an alternating path crosses its odd-numbered edges among first copies
+    and its even-numbered ones among second copies. Every other core vertex
+    y is an exposed end that hangs on the first copies of its outside
+    neighbours when its side differs from x's (an odd ear) and on the second
+    copies when it is the same (an even ear); x is an end on the second
+    copies of its outside neighbours other than v, which closes an even
+    cycle of length at least 4. One search runs per (x, v), both ascending,
+    and the first augmenting path found is returned as x, v, ..., y.
+    """
+    out = [w for w in range(g.n) if w not in side]
+    pos = {w: i for i, w in enumerate(out)}
+    base: list[tuple[int, ...]] = []
+    for w in out:
+        firsts = tuple(2 * pos[u] for u in g.adj[w] if u in pos)
+        base += [firsts, tuple(a + 1 for a in firsts)]
+    hooks = {y: [2 * pos[w] for w in g.adj[y] if w in pos] for y in sorted(side)}
+    root = len(base)
+    for x in hooks:
+        for h in hooks[x]:
+            adj = base + [(h,)]
+            adj[h] += (root,)
+            ends: list[int] = []
+            for y, ys in hooks.items():
+                even = side[y] == side[x]
+                at = tuple(a + even for a in ys if y != x or a != h)
+                if at:
+                    for a in at:
+                        adj[a] += (len(adj),)
+                    adj.append(at)
+                    ends.append(y)
+            mate = [i ^ 1 for i in range(root)] + [-1] * (1 + len(ends))
+            _, parent, end = _blossom_search(adj, mate, root)
+            if end != -1:
+                ear = [ends[end - root - 1]]
+                a = parent[end]
+                while a != root:  # each outside vertex: its outer copy, then its mate
+                    ear.append(out[a >> 1])
+                    a = parent[mate[a]]
+                return [x] + ear[::-1]
     return None
 
 
 def maximal_2ec_bipartite_subgraph(g: Graph) -> BipartiteSubgraph:
-    """Grow a 2-edge-connected bipartite subgraph to absorption fixpoint.
+    """A maximal 2-edge-connected bipartite subgraph of ``g`` (the core).
 
-    Seeded with a shortest even cycle, then repeatedly (a) adds host edges
-    joining opposite sides of the current subgraph, and (b) absorbs an outside
-    vertex via two internally disjoint paths into the subgraph whenever the
-    union stays bipartite (2-edge-connectivity is automatic: the two paths
-    close a cycle through the new vertices). Deterministic: candidates are
-    scanned in ascending order.
+    The core starts as the first ear (see ``_ear``) of a one-vertex core
+    {x}, x ascending, which is an even cycle. It then alternates two steps
+    until no ear is left: add the host edges joining its two sides, then add
+    its first ear. Both steps keep it bipartite and 2-edge-connected. The
+    result is exactly maximal: no 2-edge-connected bipartite subgraph of
+    ``g`` properly contains it. Such a subgraph would have an edge e outside
+    the core at a core vertex; with both ends in the core, e joins its two
+    sides, and otherwise a path from e's far end back to the core that
+    avoids e (there is one, as e is no bridge) closes an ear.
     """
-    cyc = shortest_even_cycle(g)
-    if cyc is None:
+    for x in range(g.n):
+        side = {x: 0}
+        ear = _ear(g, side)
+        if ear is not None:
+            break
+    else:
         raise PreconditionError("host graph has no even cycle")
-    side: dict[int, int] = {v: i & 1 for i, v in enumerate(cyc)}
-    verts = set(cyc)
-    edges: set[Edge] = {_norm(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
-
-    def absorb_cross_edges() -> None:
-        for u, v in g.edges:
-            if u in verts and v in verts and side[u] != side[v]:
-                edges.add((u, v))
-
-    def try_absorb_vertex() -> bool:
-        outside = sorted(v for v in range(g.n) if v not in verts)
-        for v in outside:
-            paths = _paths_into(g, v, verts)
-            for p1, p2 in itertools.combinations(paths, 2):
-                if set(p1[1:-1]) & set(p2[1:-1]):
-                    continue
-                assignment = _bipartite_extension(side, p1, p2)
-                if assignment is None:
-                    continue
-                side.update(assignment)
-                for p in (p1, p2):
-                    verts.update(p)
-                    for a, b in zip(p, p[1:]):
-                        edges.add(_norm(a, b))
-                return True
-        return False
-
-    absorb_cross_edges()
-    while try_absorb_vertex():
-        absorb_cross_edges()
+    edges: set[Edge] = set()
+    while ear is not None:
+        for i, w in enumerate(ear):
+            side.setdefault(w, side[ear[0]] ^ (i & 1))
+        edges.update(_norm(a, b) for a, b in zip(ear, ear[1:]))
+        edges.update(
+            (u, v) for u, v in g.edges if u in side and v in side and side[u] != side[v]
+        )
+        ear = _ear(g, side)
     return BipartiteSubgraph(
-        tuple(sorted(verts)),
+        tuple(sorted(side)),
         tuple(sorted(edges)),
         frozenset(v for v, s in side.items() if s == 0),
         frozenset(v for v, s in side.items() if s == 1),
     )
-
-
-def _paths_into(g: Graph, v: int, core: set[int], limit: int = 4000) -> list[list[int]]:
-    """Paths from v to the core with all interior vertices outside it."""
-    out: list[list[int]] = []
-    stack = [(v, [v])]
-    while stack and len(out) < limit:
-        u, path = stack.pop()
-        for w in reversed(g.adj[u]):
-            if w in core:
-                out.append(path + [w])
-            elif w not in path:
-                stack.append((w, path + [w]))
-    return sorted(out)
-
-
-def _bipartite_extension(
-    side: dict[int, int], p1: list[int], p2: list[int]
-) -> Optional[dict[int, int]]:
-    """2-coloring of the new path vertices consistent with the core, if any.
-
-    p1 and p2 both start at the same outside vertex and end in the core; they
-    share no interior vertices. Colors propagate from the core endpoints.
-    """
-    new: dict[int, int] = {}
-    for p in (p1, p2):
-        col = side[p[-1]]
-        for w in reversed(p[:-1]):
-            col ^= 1
-            if w in side:
-                if side[w] != col:
-                    return None
-            elif w in new:
-                if new[w] != col:
-                    return None
-            else:
-                new[w] = col
-    return new
 
 
 # -- bipartite matching ------------------------------------------------------

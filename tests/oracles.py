@@ -173,40 +173,7 @@ def brute_pc_exact(g: Graph, k_max: int | None = None) -> int:
     raise AssertionError(f"no proper-connecting coloring within {k_max} colors")
 
 
-# -- flow and structure helpers ---------------------------------------------------
-
-
-def max_edge_disjoint_to_set(g: Graph, v: int, targets: set[int]) -> int:
-    """Maximum number of edge-disjoint paths from v into ``targets``."""
-    if v in targets:
-        raise ValueError("source inside target set")
-    used: set[tuple[int, int]] = set()
-    flow = 0
-    while True:
-        prev = {v: v}
-        q = deque([v])
-        hit = None
-        while q and hit is None:
-            x = q.popleft()
-            for w in g.adj[x]:
-                if (x, w) in used or w in prev:
-                    continue
-                prev[w] = x
-                if w in targets:
-                    hit = w
-                    break
-                q.append(w)
-        if hit is None:
-            return flow
-        w = hit
-        while w != v:
-            x = prev[w]
-            if (w, x) in used:
-                used.discard((w, x))
-            else:
-                used.add((x, w))
-            w = x
-        flow += 1
+# -- structure helpers ------------------------------------------------------------
 
 
 def vH_paths(g: Graph, v: int, H: set[int]):
@@ -222,6 +189,42 @@ def vH_paths(g: Graph, v: int, H: set[int]):
 
     dfs(v, {v}, (v,))
     return out
+
+
+def is_ear(g: Graph, side: dict[int, int], path) -> bool:
+    """Whether ``path`` is an ear of the core whose vertices ``side`` maps to
+    0 or 1: a path x...y of host edges between core vertices, or a cycle
+    through x when x = y, whose interior is non-empty, repeats no vertex and
+    lies outside the core, and whose length has parity side[x] ^ side[y]."""
+    x, y, inner = path[0], path[-1], path[1:-1]
+    return (
+        x in side
+        and y in side
+        and all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        and len(inner) >= (2 if x == y else 1)
+        and len(set(inner)) == len(inner)
+        and not set(inner) & set(side)
+        and (len(path) - 1) % 2 == side[x] ^ side[y]
+    )
+
+
+def ear_starts(g: Graph, side: dict[int, int]) -> list[tuple[int, int]]:
+    """Every (x, v) such that some ear leaves core vertex x by the edge
+    to v, in ascending order, by depth-first search over simple paths."""
+    def closes(path) -> bool:
+        for w in g.adj[path[-1]]:
+            if w in side and is_ear(g, side, path + (w,)):
+                return True
+            if w not in side and w not in path and closes(path + (w,)):
+                return True
+        return False
+
+    return [
+        (x, v)
+        for x in sorted(side)
+        for v in g.adj[x]
+        if v not in side and closes((x, v))
+    ]
 
 
 def brute_bridges_and_cuts(g: Graph):

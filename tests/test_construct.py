@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,6 @@ from properconn import (
     construct,
     corpus,
     extend_vertex_addition,
-    graph,
     grow_by_degree2_additions,
     has_strong_property,
     is_proper_connected,
@@ -415,16 +415,14 @@ class TestClassifyDiam3:
         # an odd cycle is told by its degrees; the core search finds its own
         # seed cycle, so classification searches no second time
         calls = 0
-        even_cycle = graph.shortest_even_cycle
+        core_search = construct.maximal_2ec_bipartite_subgraph
 
         def counting(g):
             nonlocal calls
             calls += 1
-            return even_cycle(g)
+            return core_search(g)
 
-        monkeypatch.setattr(graph, "shortest_even_cycle", counting)
-        # and the name in construct, should it import the function again
-        monkeypatch.setattr(construct, "shortest_even_cycle", counting, raising=False)
+        monkeypatch.setattr(construct, "maximal_2ec_bipartite_subgraph", counting)
         assert classify_diam3(_k33_with_pair()).case_tag == CASE2_BIPARTITE
         assert calls == 1
         assert classify_diam3(corpus.cycle(7)).case_tag == CASE2_ODD_CYCLE
@@ -558,6 +556,18 @@ class TestColorDiam3:
         monkeypatch.setattr(construct, "exists_pc_coloring", no_search)
         c = color_diam3(g)
         assert c.colors_used() == 2
+        assert is_proper_connected(g, c) == (True, None)
+
+    @pytest.mark.parametrize("n, s, m", [(20, 7, 52), (30, 31, 87)])
+    def test_narrow_cut_at_scale(self, n, s, m):
+        # The core search once took 11 s and 30 s of CPU on these inputs.
+        rng = random.Random(f"d3:{n}:{s}")
+        g = corpus.random_connected(n, int(n * rng.uniform(1.6, 3.0)), rng)
+        assert g.m == m and classify_diam3(g).case_tag == CASE2_BIPARTITE
+        t0 = time.process_time()
+        c = color_diam3(g)
+        assert time.process_time() - t0 < 5
+        assert c.colors_used() <= 2
         assert is_proper_connected(g, c) == (True, None)
 
     def test_narrow_cut_instance(self):

@@ -21,7 +21,6 @@ from properconn.graph import (
     maximal_2ec_bipartite_subgraph,
     maximum_matching,
     odd_cycle,
-    shortest_even_cycle,
     two_fan,
 )
 
@@ -352,7 +351,7 @@ class TestMaximal2ECBipartiteSubgraph:
 
     def test_output_invariants_and_unextendable(self):
         graphs = corpus.random_graphs_with(
-            lambda g: shortest_even_cycle(g) is not None,
+            lambda g: any(oracles.ear_starts(g, {x: 0}) for x in range(g.n)),
             count=60,
             n_range=(5, 12),
             seed=33,
@@ -360,26 +359,60 @@ class TestMaximal2ECBipartiteSubgraph:
         for g in graphs:
             sub = maximal_2ec_bipartite_subgraph(g)
             h, vmap = sub.as_graph()
-            assert bipartition(h) is not None
-            assert edge_connectivity(h) >= 2
-            hset = set(sub.vertices)
             bip = bipartition(h)
+            assert bip is not None
+            assert edge_connectivity(h) >= 2
             side = {vmap[i]: bip.side_of(i) for i in range(h.n)}
+            core_edges = set(sub.edges)
+            for u, v in g.edges:
+                if u in side and v in side and side[u] != side[v]:
+                    assert (u, v) in core_edges, (g.edges, u, v)
+            assert oracles.ear_starts(g, side) == [], g.edges
             for v in range(g.n):
-                if v in hset:
+                if v in side:
                     continue
-                if oracles.max_edge_disjoint_to_set(g, v, hset) < 3:
-                    continue
-                paths = oracles.vH_paths(g, v, hset)
-                # no two internally disjoint (v,H)-paths of equal parity:
-                # such a pair would extend H, contradicting maximality
+                paths = oracles.vH_paths(g, v, set(side))
+                # no two internally disjoint (v,H)-paths of equal parity, even
+                # two that end at one core vertex: together they form an ear,
+                # which would extend H, contradicting maximality
                 for i, p in enumerate(paths):
                     for q in paths[i + 1 :]:
-                        if set(p[1:]) & set(q[1:]):
+                        if set(p[1:-1]) & set(q[1:-1]):
                             continue
                         par_p = (len(p) + side[p[-1]]) % 2
                         par_q = (len(q) + side[q[-1]]) % 2
                         assert par_p != par_q, (g.edges, v, p, q)
+
+    def test_an_even_cycle_through_one_core_vertex_is_an_ear(self):
+        # two squares sharing vertex 0, and a chord (2, 5) that closes only
+        # odd cycles: whichever square seeds the core, the other one is its
+        # only ear
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6), (2, 5)])
+        sub = maximal_2ec_bipartite_subgraph(g)
+        assert sub.vertices == tuple(range(7))
+        assert (2, 5) not in sub.edges
+
+    def test_ear_search_matches_brute_force(self):
+        # random partial cores, about half of them one vertex (the seed search);
+        # the side map need not be a 2-edge-connected bipartite subgraph
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(400):
+            n = rng.randint(4, 9)
+            g = corpus.random_connected(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+            core = rng.sample(range(n), rng.choice([1, rng.randint(1, n - 1)]))
+            side = {v: rng.randint(0, 1) for v in core}
+            ear = graph._ear(g, side)
+            starts = oracles.ear_starts(g, side)
+            if ear is None:
+                assert starts == [], (g.edges, side)
+                kinds.add("none")
+                continue
+            assert oracles.is_ear(g, side, tuple(ear)), (g.edges, side, ear)
+            assert tuple(ear[:2]) == starts[0], (g.edges, side, ear)
+            x, y = ear[0], ear[-1]
+            kinds.add("cycle" if x == y else ("even" if side[x] == side[y] else "odd"))
+        assert kinds == {"none", "cycle", "even", "odd"}
 
 
 class TestMaximumMatching:
