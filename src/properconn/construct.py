@@ -6,8 +6,9 @@ re-verifies the result before returning it:
 * ``strong_2_coloring_bipartite`` — bridgeless bipartite graphs get a strong
   2-coloring from a strongly connected orientation.
 * ``lift_spanning_coloring`` / ``extend_vertex_addition`` — monotonicity:
-  colorings survive adding edges, and a degree->=2 vertex can usually be
-  absorbed without recoloring.
+  colorings survive adding edges, and a degree->=2 vertex is absorbed by
+  coloring only its new edges: four quick tries on the two smallest, then
+  (``extend_vertex_addition`` only) every assignment.
 * ``color_3ec`` — 3-edge-connected noncomplete graphs: spanning bipartite
   max-cut subgraph, strong 2-coloring, lift.
 * ``color_2connected_3`` — any 2-connected graph in at most three colors with
@@ -54,7 +55,7 @@ from .coloring import (
     has_strong_property,
     is_proper_connected,
 )
-from .solver import SearchBudgetExceeded, exists_pc_coloring
+from .solver import SearchBudgetExceeded, exists_pc_coloring  # color_2connected_3 only
 
 
 class BridgeError(PreconditionError):
@@ -174,33 +175,30 @@ def lift_spanning_coloring(g: Graph, h: Graph, c_h: EdgeColoring) -> EdgeColorin
     return c
 
 
-def _extend_search(
-    gp: Graph, base: dict[Edge, int], new_edges: list[Edge]
+def _first_connecting(
+    gp: Graph,
+    base: dict[Edge, int],
+    order: list[Edge],
+    combos: Iterable[tuple[int, ...]],
 ) -> Optional[EdgeColoring]:
-    """First 2-coloring of ``new_edges`` that keeps ``gp`` proper connected.
-
-    Tries the four combinations on the two smallest new edges (others color 1)
-    before escalating to every assignment.
-    """
-    order = sorted(new_edges)
-    if len(order) >= 2:
-        for c1, c2 in itertools.product((1, 2), repeat=2):
-            asg = dict(base)
-            asg[order[0]] = c1
-            asg[order[1]] = c2
-            for e in order[2:]:
-                asg[e] = 1
-            cand = EdgeColoring(2, asg)
-            if is_proper_connected(gp, cand)[0]:
-                return cand
-    for combo in itertools.product((1, 2), repeat=len(order)):
-        asg = dict(base)
-        for e, col in zip(order, combo):
-            asg[e] = col
-        cand = EdgeColoring(2, asg)
+    """First of ``combos`` (colors for the edges ``order``) that, added to
+    ``base``, keeps ``gp`` proper connected; None when none does."""
+    for combo in combos:
+        cand = EdgeColoring(2, {**base, **dict(zip(order, combo))})
         if is_proper_connected(gp, cand)[0]:
             return cand
     return None
+
+
+def _quick_tries(
+    gp: Graph, base: dict[Edge, int], new_edges: list[Edge]
+) -> Optional[EdgeColoring]:
+    """The four colorings of the two smallest of at least two new edges, the
+    others colored 1: the first that keeps ``gp`` proper connected, or None."""
+    order = sorted(new_edges)
+    rest = (1,) * (len(order) - 2)
+    tries = ((c1, c2, *rest) for c1, c2 in itertools.product((1, 2), repeat=2))
+    return _first_connecting(gp, base, order, tries)
 
 
 def extend_vertex_addition(
@@ -209,9 +207,10 @@ def extend_vertex_addition(
     """Absorb a new degree->=2 vertex while keeping the old coloring frozen.
 
     ``attach`` lists the neighbors of the new vertex ``v`` (which must be the
-    next free id, ``g.n``). Only the new edges are searched; when no assignment
-    works, :class:`ExtensionError` is raised — pc stays 2 by the addition
-    lemma, but only a global recoloring can realize it then.
+    next free id, ``g.n``). Only the new edges are searched: the four quick
+    tries first, then, with more than two new edges, every assignment. When
+    none works, :class:`ExtensionError` is raised — pc stays 2 by the
+    addition lemma, but only a global recoloring can realize it then.
     """
     if v != g.n:
         raise PreconditionError(f"new vertex must take the next id {g.n}, got {v}")
@@ -223,7 +222,10 @@ def extend_vertex_addition(
     c.validate(g)
     gp = g.with_vertex_added(targets)
     new_edges = [(w, v) for w in targets]
-    found = _extend_search(gp, dict(c.assignment), new_edges)
+    found = _quick_tries(gp, c.assignment, new_edges)
+    if found is None and len(new_edges) > 2:
+        sweep = itertools.product((1, 2), repeat=len(new_edges))
+        found = _first_connecting(gp, c.assignment, new_edges, sweep)
     if found is None:
         raise ExtensionError("local extension failed")
     return gp, found
@@ -754,24 +756,35 @@ def grow_by_degree2_additions(
     """Extend a verified 2-coloring of an induced subgraph to all of ``g``.
 
     Repeatedly absorbs the smallest outside vertex with >= 2 edges into the
-    current set, keeping previous colors frozen; when the frozen coloring does
-    not extend, the grown subgraph is re-solved from scratch (the addition
-    lemma guarantees two colors still suffice). ``c0`` is keyed by original
+    current set, keeping previous colors frozen and coloring the new edges by
+    the four quick tries. A step that no try passes raises
+    :class:`InternalError` naming the vertex. ``c0`` is keyed by original
     vertex ids and must cover exactly the induced edges of ``g0``.
     """
     current = sorted(set(g0))
     if len(current) < 2:
         raise PreconditionError("seed needs at least two vertices")
     sub, vmap = g.induced(current)
-    asg: dict[Edge, int] = dict(c0.assignment)
-    local = _to_local(asg, sub, vmap)
-    if len(local) != sub.m or len(asg) != sub.m:
+    local = _to_local(c0.assignment, sub, vmap)
+    if len(local) != sub.m or len(c0.assignment) != sub.m:
         raise PreconditionError("seed coloring must cover exactly the induced edges")
     ok, pair = is_proper_connected(sub, EdgeColoring(2, local))
     if not ok:
         raise PreconditionError(f"seed coloring leaves {pair} unconnected")
-    chain = [tuple(current)]
-    cur = set(current)
+    c, chain = _grow(g, current, c0.assignment)
+    if chain_out is not None:
+        chain_out.extend(chain)
+    return c
+
+
+def _grow(
+    g: Graph, g0: Iterable[int], asg: dict[Edge, int]
+) -> tuple[EdgeColoring, tuple[tuple[int, ...], ...]]:
+    """:func:`grow_by_degree2_additions` for a caller that has verified its
+    seed; also returns the chain of vertex sets."""
+    asg = dict(asg)
+    cur = set(g0)
+    chain = [tuple(sorted(cur))]
     while len(cur) < g.n:
         add = next(
             (
@@ -786,32 +799,32 @@ def grow_by_degree2_additions(
         cur.add(add)
         sub, vmap = g.induced(cur)
         base = _to_local(asg, sub, vmap)
-        fresh = [e for e in sub.edges if e not in base]
-        found = _extend_search(sub, base, fresh)
+        found = _quick_tries(sub, base, [e for e in sub.edges if e not in base])
         if found is None:
-            solved = exists_pc_coloring(sub, 2, budget_nodes=2_000_000)
-            if solved is None:
-                raise InternalError(
-                    f"subgraph on {sorted(cur)} admits no 2-coloring after "
-                    f"absorbing {add} — falsifies the addition lemma"
-                )
-            asg = _to_host(solved.assignment, vmap)
-        else:
-            asg.update(_to_host(found.assignment, vmap))
+            raise InternalError(
+                f"no quick try absorbs vertex {add} into the frozen coloring of "
+                f"{len(cur) - 1} vertices — falsifies the growth step"
+            )
+        asg.update(_to_host(found.assignment, vmap))
         chain.append(tuple(sorted(cur)))
-    if chain_out is not None:
-        chain_out.extend(chain)
-    return EdgeColoring(2, asg)
+    return EdgeColoring(2, asg), tuple(chain)
 
 
 # -- diameter-3 colorers -------------------------------------------------------------
 
 
-def _strong_on_local(
-    n: int, edges: list[Edge], labels: tuple[int, ...]
-) -> dict[Edge, int]:
-    """Strong 2-coloring of a small scaffold graph, keyed back to host ids."""
-    h = Graph(n, edges)
+def _alternating(walk: list[int]) -> dict[Edge, int]:
+    """Colors 1, 2, 1, ... along a walk's edges, keyed by host ids."""
+    return {_norm(x, y): 1 + (i & 1) for i, (x, y) in enumerate(zip(walk, walk[1:]))}
+
+
+def _strong_book(pages: list[tuple[int, ...]]) -> dict[Edge, int]:
+    """Strong 2-coloring of a book, keyed by host ids: two or more paths
+    ("pages") of one parity between the two ends of the first page, with
+    disjoint interiors, so a bridgeless bipartite graph."""
+    labels = [pages[0][0], pages[0][-1], *(v for p in pages for v in p[1:-1])]
+    loc = {v: i for i, v in enumerate(labels)}
+    h = Graph(len(labels), [(loc[x], loc[y]) for p in pages for x, y in zip(p, p[1:])])
     return _to_host(strong_2_coloring_bipartite(h).assignment, labels)
 
 
@@ -847,58 +860,44 @@ def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColori
 def _seed_matched(
     g: Graph, dec: Diam3Decomposition
 ) -> tuple[list[int], EdgeColoring]:
-    """Seed for the matched sub-case: one hub book plus a matching theta.
+    """Seed for the matched sub-case: two hub books joined by the cut.
 
-    Both scaffolds are strong-2-colored independently; the two cut edges then
-    bridge them safely because strong colorings offer either end color at the
-    junctions. Degenerate sizes (single common neighbor or single matching
-    edge leave a scaffold bridged) fall back to an exact search on the seed.
+    The far book has a page u2-w-v2 per common neighbor w, the near book a
+    page u1-x-y-v1 per matching edge xy. Each book with at least two pages is
+    strong-2-colored; when both are, the cut edges take colors 1 and 2, which
+    is safe because strong colorings offer either end color at the junctions.
+    Everything left over — the page of a one-page book plus both cut edges —
+    is one walk colored 1, 2, 1, ...: u2,u1,x,y,v1,v2 when the matching has
+    one edge, u1,u2,w,v2,v1 when "2,0" is (w,), and the closed walk
+    u1,x,y,v1,v2,w,u2,u1 when both hold. A properly colored ear on a strongly
+    colored graph keeps every pair connected: an interior vertex walks to the
+    end a and arrives by some color c; of a's two paths to t with distinct
+    first colors, one avoids c.
     """
     u1, v1, u2, v2 = dec.hubs
     q20 = dec.q["2,0"]
+    if not q20:
+        raise InternalError("far side lost its common neighbors")
     q11 = set(dec.q["1,1"])
-    matched = list(dec.matching)
-    verts = sorted(
-        {u1, v1, u2, v2, *q20, *(v for e in matched for v in e)}
-    )
-    sub, vmap = g.induced(verts)
-    try:
-        if not q20:
-            raise InternalError("far side lost its common neighbors")
-        asg: dict[Edge, int] = {}
-        asg.update(
-            _strong_on_local(
-                2 + len(q20),
-                [(0, 2 + i) for i in range(len(q20))]
-                + [(1, 2 + i) for i in range(len(q20))],
-                (u2, v2, *q20),
-            )
-        )
-        theta_labels: list[int] = [u1, v1]
-        theta_edges: list[Edge] = []
-        for e in matched:
-            x = e[0] if e[0] in q11 else e[1]
-            y = e[1] if x == e[0] else e[0]
-            xi, yi = len(theta_labels), len(theta_labels) + 1
-            theta_labels.extend((x, y))
-            theta_edges.extend([(0, xi), (xi, yi), (yi, 1)])
-        asg.update(
-            _strong_on_local(len(theta_labels), theta_edges, tuple(theta_labels))
-        )
+    near = [(u1, x, y, v1) if x in q11 else (u1, y, x, v1) for x, y in dec.matching]
+    far = [(u2, w, v2) for w in q20]
+    verts = sorted({u1, v1, u2, v2, *q20, *(v for e in dec.matching for v in e)})
+    asg: dict[Edge, int] = {}
+    for book in (far, near):
+        if len(book) >= 2:
+            asg.update(_strong_book(book))
+    if len(near) == 1 and len(far) == 1:
+        asg.update(_alternating([*near[0], *far[0][::-1], u1]))
+    elif len(near) == 1:
+        asg.update(_alternating([u2, *near[0], v2]))
+    elif len(far) == 1:
+        asg.update(_alternating([u1, *far[0], v1]))
+    else:
         asg[_norm(u1, u2)] = 1
         asg[_norm(v1, v2)] = 2
-        local = _to_local(asg, sub, vmap)  # every scaffold edge is a host edge
-        c0 = lift_spanning_coloring(
-            sub, Graph(len(verts), local), EdgeColoring(2, local)
-        )
-    except (BridgeError, OddCycleError, PreconditionError):
-        solved = exists_pc_coloring(sub, 2, budget_nodes=2_000_000)
-        if solved is None:
-            raise InternalError(
-                f"seed on {verts} admits no 2-coloring — falsifies the "
-                "matched-seed step"
-            )
-        c0 = solved
+    sub, vmap = g.induced(verts)
+    local = _to_local(asg, sub, vmap)  # every scaffold edge is a host edge
+    c0 = lift_spanning_coloring(sub, Graph(len(verts), local), EdgeColoring(2, local))
     return verts, EdgeColoring(2, _to_host(c0.assignment, vmap))
 
 
@@ -907,9 +906,7 @@ def _color_case1(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
         verts, c0 = _seed_book(g, dec)
     else:
         verts, c0 = _seed_matched(g, dec)
-    chain: list[tuple[int, ...]] = []
-    c = grow_by_degree2_additions(g, verts, c0, chain_out=chain)
-    dec.chain = tuple(chain)
+    c, dec.chain = _grow(g, verts, c0.assignment)  # lift_spanning_coloring checked c0
     return c
 
 
@@ -926,14 +923,7 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
     for (_, _), idxs in dec.classes:
         comps = [dec.pair_components[i] for i in idxs]
         if len(comps) >= 2:
-            labels: list[int] = [comps[0][2], comps[0][3]]
-            edges: list[Edge] = []
-            for x, y, ax, ay in comps:
-                xi, yi = len(labels), len(labels) + 1
-                labels.extend((x, y))
-                a_loc = 0 if ax == labels[0] else 1
-                edges.extend([(a_loc, xi), (xi, yi), (yi, 1 - a_loc)])
-            asg.update(_strong_on_local(len(labels), edges, tuple(labels)))
+            asg.update(_strong_book([(ax, x, y, ay) for x, y, ax, ay in comps]))
         else:
             x, y, ax, ay = comps[0]
             asg[_norm(ax, x)] = 1
@@ -949,14 +939,7 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
             f"core-plus-strays coloring leaves {tuple(vmap[t] for t in pair)} "
             "unconnected — falsifies the narrow-cut construction"
         )
-    chain: list[tuple[int, ...]] = []
-    full = grow_by_degree2_additions(
-        g,
-        body,
-        EdgeColoring(2, {e: asg[e] for e in asg}),
-        chain_out=chain,
-    )
-    dec.chain = tuple(chain)
+    full, dec.chain = _grow(g, body, asg)
     return full
 
 
@@ -972,11 +955,7 @@ def color_diam3(g: Graph) -> EdgeColoring:
     elif dec.case_tag in (CASE1_SUB11, CASE1_SUB12):
         c = _color_case1(g, dec)
     elif dec.case_tag == CASE2_ODD_CYCLE:
-        order = dec.odd_cycle
-        c = EdgeColoring(
-            2,
-            {_norm(order[i], order[(i + 1) % g.n]): 1 + (i & 1) for i in range(g.n)},
-        )
+        c = EdgeColoring(2, _alternating([*dec.odd_cycle, dec.odd_cycle[0]]))
     else:
         c = _color_case2_bipartite(g, dec)
     ok, pair = is_proper_connected(g, c)

@@ -513,6 +513,55 @@ class TestGrowByDegree2Additions:
         with pytest.raises(PreconditionError, match="unconnected"):
             grow_by_degree2_additions(g, range(4), c0)
 
+    def test_step_without_a_passing_try_names_the_vertex(self, monkeypatch):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2)])
+        c0 = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 0): 2})
+        monkeypatch.setattr(construct, "_quick_tries", lambda *args: None)
+        with pytest.raises(InternalError, match="vertex 4 "):
+            grow_by_degree2_additions(g, range(4), c0)
+
+
+def _matched_far_book(pages):
+    edges = [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (0, 6), (1, 7)]
+    edges += [(h, 8 + i) for i in range(pages) for h in (6, 7)]
+    return Graph(8 + pages, edges)
+
+
+def _case1_input(n, rng):
+    """A 2-connected diameter-3 graph tagged Case 1: hubs u1, v1 | u2, v2
+    joined by the cut u1u2, v1v2; the far side holds 1 to n/3 - 2 common
+    neighbors of u2 and v2, each near vertex is a common (15%), u1-only (40%)
+    or v1-only (45%) neighbor, and u1-only/v1-only pairs are joined with
+    probability p in [0.2, 0.6]. Vertex ids are shuffled."""
+    while True:
+        u1, v1, u2, v2 = range(4)
+        far = rng.randint(1, n // 3 - 2)
+        edges = [(u1, u2), (v1, v2)]
+        edges += [(h, w) for w in range(4, 4 + far) for h in (u2, v2)]
+        only: dict = {u1: [], v1: []}
+        for w in range(4 + far, n):
+            r = rng.random()
+            hubs = (u1, v1) if r < 0.15 else (u1,) if r < 0.55 else (v1,)
+            edges += [(h, w) for h in hubs]
+            if len(hubs) == 1:
+                only[hubs[0]].append(w)
+        p = rng.uniform(0.2, 0.6)
+        edges += [(x, y) for x in only[u1] for y in only[v1] if rng.random() < p]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[a], perm[b]) for a, b in edges])
+        if diameter(g) == 3 and connectivity(g) >= 2:
+            if classify_diam3(g).case_tag in (CASE1_SUB11, CASE1_SUB12):
+                return g
+
+
+@pytest.fixture
+def no_exact_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("color_diam3 reached the exact search")
+
+    monkeypatch.setattr(construct, "exists_pc_coloring", refuse)
+
 
 class TestColorDiam3:
     def test_c7_exact_pattern(self):
@@ -540,23 +589,93 @@ class TestColorDiam3:
         assert c.colors_used() == 2
         assert has_strong_property(g, c).ok
 
-    def test_matched_seed_colors_its_scaffold(self, monkeypatch):
-        # Hubs 0, 1 | 6, 7 with a two-edge matching (2,4), (3,5) and two far
-        # common neighbors 8, 9: big enough that the book and the matching
-        # theta are strong-2-colored, so the exact-search fallback never runs.
-        g = Graph(10, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5),
-                       (6, 8), (6, 9), (7, 8), (7, 9), (0, 6), (1, 7)])
+    @pytest.mark.parametrize(
+        "g, matching, q20",
+        [
+            # Hubs 0, 1 | 6, 7 with a two-edge matching (2,4), (3,5) and two
+            # far common neighbors 8, 9: both books are strong-2-colored.
+            pytest.param(
+                _matched_far_book(2), ((2, 4), (3, 5)), (8, 9), id="two-books"
+            ),
+            # Without 9 the far book has one page: the ear u1,u2,w,v2,v1.
+            pytest.param(_matched_far_book(1), ((2, 4), (3, 5)), (8,), id="one-far"),
+            # One matching edge: the ear u2,u1,x,y,v1,v2 on the far book.
+            pytest.param(
+                Graph(9, [(0, 2), (2, 3), (3, 1), (0, 8), (1, 8), (4, 6), (4, 7),
+                          (5, 6), (5, 7), (0, 4), (1, 5)]),
+                ((2, 3),), (6, 7), id="one-match",
+            ),
+            # Both books have one page: the seed is the 7-cycle u1,x,y,v1,v2,w,u2.
+            pytest.param(
+                Graph(7, [(0, 1), (0, 5), (0, 6), (1, 4), (1, 6), (2, 3), (2, 5),
+                          (3, 4)]),
+                ((2, 3),), (6,), id="seven-cycle",
+            ),
+        ],
+    )
+    def test_matched_seed_colors_its_scaffold(self, g, matching, q20, no_exact_search):
         dec = classify_diam3(g)
         assert dec.case_tag == CASE1_SUB12
-        assert dec.matching == ((2, 4), (3, 5)) and dec.q["2,0"] == (8, 9)
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("the matched seed fell back to the exact search")
-
-        monkeypatch.setattr(construct, "exists_pc_coloring", no_search)
+        assert dec.matching == matching and dec.q["2,0"] == q20
         c = color_diam3(g)
         assert c.colors_used() == 2
         assert is_proper_connected(g, c) == (True, None)
+
+    def test_seeded_case1_inputs(self, no_exact_search):
+        # Case 1 at the sizes where a seed with a one-page book once went to
+        # a budgeted exact search, which could give up (see the input below).
+        rng = random.Random(0)
+        shapes = set()
+        for i in range(60):
+            g = _case1_input(20 + i % 21, rng)
+            dec = classify_diam3(g)
+            shapes.add((len(dec.matching) >= 2, len(dec.q["2,0"]) >= 2))
+            t0 = time.process_time()
+            c = color_diam3(g)
+            assert time.process_time() - t0 < 1
+            assert c.colors_used() <= 2
+            assert is_proper_connected(g, c) == (True, None)
+        # A near side of 14 or more vertices always has two disjoint u1-v1
+        # pages here, so the one-match shapes show up only in the test above.
+        assert shapes == {(True, True), (True, False)}
+
+    def test_case1_regression_input(self, no_exact_search):
+        # Far side u2-w-v2 and six matching edges: the exact search that once
+        # colored this seed gave up after 2M nodes.
+        g = Graph(22, [tuple(map(int, e.split("-"))) for e in (
+            "0-2 0-3 0-5 0-6 0-8 0-9 0-11 0-12 0-13 0-14 0-16 0-19 1-3 1-4 1-6 "
+            "1-7 1-9 1-10 1-11 1-15 1-17 1-18 1-20 2-7 2-17 2-18 4-5 4-8 4-13 "
+            "4-16 5-7 5-10 7-8 7-13 7-14 7-16 8-10 8-15 10-12 13-15 14-15 14-17 "
+            "14-18 19-21 20-21"
+        ).split()])
+        dec = classify_diam3(g)
+        assert dec.case_tag == CASE1_SUB12 and dec.q["2,0"] == (21,)
+        t0 = time.process_time()
+        c = color_diam3(g)
+        assert time.process_time() - t0 < 1
+        assert is_proper_connected(g, c) == (True, None)
+
+    def test_no_coloring_is_checked_twice_before_the_last(self, monkeypatch):
+        # Each seed is verified once, by the step that made it; only the
+        # returned coloring is checked again, by color_diam3 itself.
+        seen: list = []
+
+        def spy(h, c):
+            seen.append((h.n, h.edges, c.as_vector(h)))
+            return is_proper_connected(h, c)
+
+        monkeypatch.setattr(construct, "is_proper_connected", spy)
+        eligible = lambda h: connectivity(h) >= 2 and diameter(h) == 3
+        tags = set()
+        for g in corpus.random_graphs_with(eligible, 60, (8, 10), seed=5):
+            seen.clear()
+            c = color_diam3(g)
+            if any(n < g.n for n, _, _ in seen):  # a seed grew
+                tags.add(classify_diam3(g).case_tag)
+            last = (g.n, g.edges, c.as_vector(g))
+            assert seen.count(last) <= 2
+            assert len(set(seen) - {last}) == len(seen) - seen.count(last)
+        assert {CASE1_SUB11, CASE2_BIPARTITE} <= tags
 
     @pytest.mark.parametrize("n, s, m", [(20, 7, 52), (30, 31, 87)])
     def test_narrow_cut_at_scale(self, n, s, m):
@@ -576,7 +695,7 @@ class TestColorDiam3:
         assert c.colors_used() <= 2
         assert is_proper_connected(g, c) == (True, None)
 
-    def test_exhaustive_small(self):
+    def test_exhaustive_small(self, no_exact_search):
         # 3-edge-connectivity forces diameter < 3 below n = 8, so that tag
         # only shows up for larger hosts (see test_hypercube).
         hits: dict = {}
