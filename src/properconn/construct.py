@@ -458,6 +458,11 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
     return EdgeColoring(3, asg)
 
 
+def _two_color_budget(g: Graph) -> int:
+    """Node budget of ``color_2connected_3``'s strong two-color search."""
+    return max(2_000, min(150_000, 40_000_000 // max(1, g.n * g.m)))
+
+
 def color_2connected_3(g: Graph) -> EdgeColoring:
     """Verified strong coloring of a 2-connected graph with at most 3 colors.
 
@@ -471,9 +476,10 @@ def color_2connected_3(g: Graph) -> EdgeColoring:
         return strong_2_coloring_bipartite(g)  # 2-connected => bridgeless
     if edge_connectivity(g) >= 3 and not g.is_complete():
         return _color_3ec(g)
-    budget = max(2_000, min(150_000, 40_000_000 // max(1, g.n * g.m)))
     try:
-        found = exists_pc_coloring(g, 2, require_strong=True, budget_nodes=budget)
+        found = exists_pc_coloring(
+            g, 2, require_strong=True, budget_nodes=_two_color_budget(g)
+        )
         if found is not None:
             return found
     except SearchBudgetExceeded:

@@ -32,8 +32,20 @@ The prune at a node that has just colored e = (a, b) with col asks, in order:
   every state one step from its start, the far ends of the start's other
   col-colored edges included.
 
-All three answer exactly as one BFS from each end would, so the tree, its
-node count and every conflict are those of the plain rule.
+All three answer exactly as one BFS from each end would, so the plain
+search's tree, its node count and every conflict are those of the plain rule.
+
+The strong search cuts more. The strong property asks, for every pair, for two
+proper paths with different first colors, so every vertex needs two colors on
+its edges. When e = order[d] is the last edge at an end x to get a color and
+every edge at x now has col, no leaf below is strong, and the node is cut
+(``strong_pruned`` counts these) before the prune or the memo looks at it.
+``_Search`` lists the edges at each such end per depth; every other depth, and
+every depth of the plain search, gets (). A cut node leaves the conflict, the
+sibling check's dead set and the memo as they were. That keeps them sound: the
+nodes left at depth d are still siblings that differ on e alone, and a cut
+only skips a subtree. Every cut is sound, so the search still returns the
+first strong leaf in canonical order, and only its counts shrink.
 
 The siblings at depth d color the same edge e = (a, b) and agree on every
 other edge. Call a color fresh there when no other edge at a or b has it
@@ -222,10 +234,23 @@ class _Search:
         # _plan)
         self.order, self.idx, self.needs, self.near = _plan(g)
         self.inc = _incidence(g)
+        # strong mode: per depth, for each end of order[d] whose edges are
+        # all colored at depth d, the g.edges indices of those edges; ()
+        # everywhere else
+        self.full: list[tuple[tuple[int, ...], ...]] = [()] * len(self.idx)
+        if require_strong:
+            left = [len(at) for at in self.inc]
+            for d, (a, b) in enumerate(self.order):
+                left[a] -= 1
+                left[b] -= 1
+                self.full[d] = tuple(
+                    tuple(j for _, j in self.inc[x]) for x in (a, b) if not left[x]
+                )
         self.ecolor = [0] * g.m  # by g.edges index; 0 = uncolored
         self.nodes = 0
         self.leaves = 0
         self.sibling_settled = 0  # nodes the fresh-sibling memo answered
+        self.strong_pruned = 0  # nodes cut for leaving a vertex one color
         self.conflict: Optional[tuple[int, int]] = None
         # closed walk-state set that proved ``conflict`` dead at the node last
         # pruned, at depth ``dead_depth``; None once a node survives, by the
@@ -309,6 +334,7 @@ class _Search:
                     return None
             return cand
         i, needs, ecolor = self.idx[depth], self.needs[depth], self.ecolor
+        full = self.full[depth]
         # a color no other edge at e's ends has is fresh (see the module
         # docstring): all fresh siblings have one reach, the largest of any
         taken = {ecolor[j] for j in self.near[depth]}
@@ -324,6 +350,12 @@ class _Search:
                 self.sibling_settled += 1
                 continue
             ecolor[i] = col
+            if full and any(all(ecolor[j] == col for j in js) for js in full):
+                # an end's edges all have col, so no leaf below is strong;
+                # the memo, the sibling check and the conflict stay as they
+                # were (see the module docstring)
+                self.strong_pruned += 1
+                continue
             if col in taken:
                 pruned = self._prune(depth, col, needs)
             elif swept and self.conflict is memo:
@@ -370,6 +402,7 @@ def exists_pc_coloring(
             stats_out["nodes"] = search.nodes
             stats_out["leaves"] = search.leaves
             stats_out["sibling_settled"] = search.sibling_settled
+            stats_out["strong_pruned"] = search.strong_pruned
             stats_out["runtime_s"] = time.perf_counter() - t0
     return got
 
@@ -392,7 +425,7 @@ def pc_exact(
         raise PreconditionError("proper connection number needs a connected graph")
     if k_max is None:
         k_max = max(g.m, 1)
-    stats: dict = {"per_k": {}, "nodes": 0, "sibling_settled": 0}
+    stats: dict = {"per_k": {}, "nodes": 0, "sibling_settled": 0, "strong_pruned": 0}
     t0 = time.perf_counter()
     budget_left = budget_nodes
     for k in range(1, k_max + 1):
@@ -405,6 +438,7 @@ def pc_exact(
         stats["per_k"][k] = search.nodes
         stats["nodes"] += search.nodes
         stats["sibling_settled"] += search.sibling_settled
+        stats["strong_pruned"] += search.strong_pruned
         stats["runtime_s"] = time.perf_counter() - t0
         if budget_left is not None:
             budget_left -= search.nodes

@@ -1,5 +1,6 @@
 """Constructive 2- and 3-colorings: bipartite, 3-edge-connected, diameter 3."""
 
+import functools
 import itertools
 import random
 import time
@@ -21,6 +22,7 @@ from properconn import (
     coloring,
     construct,
     corpus,
+    exists_pc_coloring,
     extend_vertex_addition,
     grow_by_degree2_additions,
     has_strong_property,
@@ -36,7 +38,13 @@ from properconn.construct import (
     CASE2_ODD_CYCLE,
     CASE_THREE_EC,
 )
-from properconn.graph import connected_components, connectivity, diameter, edge_connectivity
+from properconn.graph import (
+    bipartition,
+    connected_components,
+    connectivity,
+    diameter,
+    edge_connectivity,
+)
 
 import oracles
 
@@ -195,14 +203,14 @@ class TestExtendVertexAddition:
     def test_failure_is_genuine_and_pc_stays_two(self):
         # When the frozen base refuses every assignment of the new edges, a
         # brute sweep must agree, and the extended graph must still be pc-2.
+        # At this seed every extension succeeds, so the failure branch is
+        # not reached; the pin shows if that changes.
         rng = random.Random(37)
-        fails = 0
+        fails = succeeded = 0
         for _ in range(80):
             n = rng.randint(4, 6)
             m_hi = n * (n - 1) // 2
             g = corpus.random_connected(n, rng.randint(n, m_hi), rng)
-            from properconn import exists_pc_coloring
-
             c = exists_pc_coloring(g, 2)
             if c is None:
                 continue
@@ -220,7 +228,43 @@ class TestExtendVertexAddition:
                     assert not ok
                 assert pc_exact(gp).value <= 2
             else:
+                succeeded += 1
                 assert is_proper_connected(gp, cp) == (True, None)
+        assert (succeeded, fails) == (76, 0)
+
+    def test_exhaustive_sweep(self, monkeypatch):
+        # The quick tries pass on every input known, so they are made to fail
+        # on three new edges: the sweep must then find a proper-connected
+        # coloring that keeps the old colors, or raise only when a brute
+        # sweep finds none either. At this seed it always finds one.
+        real = construct._quick_tries
+
+        def failing(gp, base, new_edges):
+            return None if len(new_edges) == 3 else real(gp, base, new_edges)
+
+        monkeypatch.setattr(construct, "_quick_tries", failing)
+        rng = random.Random(43)
+        swept = raised = 0
+        for _ in range(40):
+            n = rng.randint(4, 6)
+            g = corpus.random_connected(n, rng.randint(n, n * (n - 1) // 2), rng)
+            c = exists_pc_coloring(g, 2)
+            if c is None:
+                continue
+            targets = tuple(sorted(rng.sample(range(n), 3)))
+            try:
+                gp, cp = extend_vertex_addition(g, c, n, targets)
+            except ExtensionError:
+                raised += 1
+                gp = g.with_vertex_added(list(targets))
+                for combo in itertools.product((1, 2), repeat=3):
+                    asg = {**c.assignment, **{(w, n): col for w, col in zip(targets, combo)}}
+                    assert not is_proper_connected(gp, EdgeColoring(2, asg))[0]
+            else:
+                swept += 1
+                assert is_proper_connected(gp, cp) == (True, None)
+                assert all(cp.color(*e) == c.color(*e) for e in g.edges)
+        assert (swept, raised) == (39, 0)
 
 
 class TestColor3ec:
@@ -341,14 +385,44 @@ class TestStrongCheckOnConstructions:
             w.validate(g, c)
 
 
+def _lambda2_input(n, s):
+    """The first draw of ``random_connected(n, int(2.2 n))`` from
+    ``Random(f"2c:{n}:{s}")`` that is 2-connected, not bipartite and has
+    edge connectivity 2."""
+    rng = random.Random(f"2c:{n}:{s}")
+    while True:
+        g = corpus.random_connected(n, int(2.2 * n), rng)
+        if connectivity(g) >= 2 and bipartition(g) is None and edge_connectivity(g) == 2:
+            return g
+
+
+# Inputs on which the strong two-color search used to run out of its budget
+# and hand over to the 20M-node three-color search, which did not finish.
+_STUCK_INPUTS = {
+    "n14-m31-seed5": lambda: corpus.random_connected(14, 31, random.Random(5)),
+    **{f"2c:{n}:{s}": functools.partial(_lambda2_input, n, s)
+       for n, s in ((12, 0), (12, 1), (12, 2), (12, 3), (12, 4), (12, 5), (14, 0))},
+}
+
+
 class TestColor2Connected3:
+    @pytest.mark.parametrize("name", list(_STUCK_INPUTS))
+    def test_two_color_search_settles_lambda2_inputs(self, name):
+        g = _STUCK_INPUTS[name]()
+        assert connectivity(g) == edge_connectivity(g) == 2 and bipartition(g) is None
+        found = exists_pc_coloring(
+            g, 2, require_strong=True, budget_nodes=construct._two_color_budget(g)
+        )
+        assert found is not None
+        c = color_2connected_3(g)
+        assert c == found
+        assert has_strong_property(g, c).ok
+
     def test_c5_needs_the_third_color(self):
         # No strong 2-coloring of C5 exists: between adjacent vertices the
         # only proper 4-edge path alternates, clashing with the direct edge
         # at one end. The plain connection number is still 2.
         g = corpus.cycle(5)
-        from properconn import exists_pc_coloring
-
         assert exists_pc_coloring(g, 2, require_strong=True) is None
         assert pc_exact(g).value == 2
         c = color_2connected_3(g)

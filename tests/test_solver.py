@@ -1,5 +1,6 @@
 """Exact pc search: existence queries, optimal values, sampling refuter."""
 
+import itertools
 import random
 
 import pytest
@@ -116,6 +117,15 @@ class TestPcExact:
         res = pc_exact(corpus.cycle(5))
         assert res.stats["nodes"] > 0
         assert set(res.stats["per_k"]) == {1, 2}
+        assert res.stats["strong_pruned"] == 0
+        strong = pc_exact(corpus.cycle(5), require_strong=True)
+        per_k = []
+        for k in (1, 2, 3):
+            stats = {}
+            exists_pc_coloring(corpus.cycle(5), k, require_strong=True, stats_out=stats)
+            per_k.append(stats["strong_pruned"])
+        assert strong.value == 3
+        assert strong.stats["strong_pruned"] == sum(per_k) > 0
 
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):
@@ -484,20 +494,27 @@ class TestSearchTreePins:
         assert 0 < stats["sibling_settled"] < settled
 
     def test_mini_strong_budget(self, mini):
+        # the one-color rule proves that no strong 2-coloring exists; without
+        # it the search ran out of color_2connected_3's 49,382-node budget
+        # after 1,396 leaves
         stats = {}
+        assert exists_pc_coloring(mini, 2, require_strong=True, stats_out=stats) is None
+        assert (stats["nodes"], stats["leaves"], stats["strong_pruned"]) == (1891, 26, 912)
         with pytest.raises(SearchBudgetExceeded) as ei:
-            exists_pc_coloring(mini, 2, require_strong=True, budget_nodes=49382, stats_out=stats)
-        assert ei.value.nodes == 49383
-        assert stats["leaves"] == 1396
+            exists_pc_coloring(mini, 2, require_strong=True, budget_nodes=1000)
+        assert ei.value.nodes == 1001
 
 
 class _PlainSearch:
     """The exact search with ``_plain_rule`` at every node: the same edge
     order, canonical colors and leaf checks, but no plan, no sibling check and
-    no fresh-sibling memo."""
+    no fresh-sibling memo. In strong mode it also cuts a node whose new edge
+    leaves an end with every edge in one color, unless ``one_color_cut`` is
+    False."""
 
-    def __init__(self, g, k, require_strong=False):
+    def __init__(self, g, k, require_strong=False, one_color_cut=True):
         self.g, self.k, self.require_strong = g, k, require_strong
+        self.one_color_cut = require_strong and one_color_cut
         self.order = solver._bfs_edge_order(g)
         self.dist = all_pairs_distances(g)
         self.ecolor = [0] * g.m
@@ -521,6 +538,11 @@ class _PlainSearch:
         for col in range(1, min(self.k, maxused + 1) + 1):
             self.nodes += 1
             self.ecolor[i] = col
+            if self.one_color_cut and any(
+                all(self.ecolor[g.edge_index()[min(x, w), max(x, w)]] == col for w in g.adj[x])
+                for x in self.order[depth]
+            ):
+                continue
             pruned, self.conflict = _plain_rule(
                 g, self.dist, self.order, self.ecolor, self.conflict, depth
             )
@@ -543,6 +565,10 @@ def _assert_plain_tree(g, ks, require_strong=False):
         got = exists_pc_coloring(g, k, require_strong, stats_out=stats)
         assert (stats["nodes"], stats["leaves"]) == (plain.nodes, plain.leaves), (g, k)
         assert got == want, (g, k)
+        if require_strong:
+            # the cut is sound, so the search without it finds the same
+            # first strong leaf, or none
+            assert _PlainSearch(g, k, True, one_color_cut=False).descend() == want, (g, k)
         per_k[k] = plain.nodes
         if want is not None:
             break
@@ -586,6 +612,41 @@ class TestPlainSearch:
             g = corpus.random_connected(n, rng.randint(n, n + 3), rng)
             for k in (2, 3):
                 _assert_plain_tree(g, [k], require_strong=True)
+
+
+class TestOneColorRule:
+    """The strong search cuts a node once an end of the new edge has all its
+    edges in one color: the strong property needs two colors at every
+    vertex."""
+
+    def test_strong_colorings_have_two_colors_at_every_vertex(self):
+        accepted = 0
+        for n_max, k in ((5, 2), (4, 3)):
+            for n in range(2, n_max + 1):
+                for g in corpus.connected_graphs(n):
+                    for vec in itertools.product(range(1, k + 1), repeat=g.m):
+                        c = EdgeColoring.from_vector(g, k, list(vec))
+                        if has_strong_property(g, c).ok:
+                            accepted += 1
+                            for v in range(g.n):
+                                assert len({c.color(v, w) for w in g.adj[v]}) >= 2
+        assert accepted == 1224
+
+    def test_two_connected_answers_match_the_search_without_the_cut(self):
+        rng = random.Random(73)
+        done, seen = 0, set()
+        while done < 20:
+            n = rng.randint(5, 8)
+            g = corpus.random_connected(n, rng.randint(n, n + 2), rng)
+            if connectivity(g) < 2:
+                continue
+            done += 1
+            for k in (2, 3):
+                want = _PlainSearch(g, k, True, one_color_cut=False).descend()
+                got = exists_pc_coloring(g, k, require_strong=True)
+                assert got == want, (g, k)
+                seen.add(got is None)
+        assert seen == {True, False}
 
 
 class TestSearchPlan:
