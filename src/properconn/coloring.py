@@ -48,7 +48,7 @@ always validated before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import (
     Edge,
@@ -712,15 +712,33 @@ def has_strong_property(g: Graph, c: EdgeColoring) -> StrongCheck:
     tree is dropped after u's row. Only a pair that neither tree settles is
     searched, by :func:`_strong_pair`, under the same rule.
     """
+    return _strong_rows(g, c, range(g.n))
+
+
+def _strong_rows(g: Graph, c: EdgeColoring, rows: Iterable[int]) -> StrongCheck:
+    """:func:`has_strong_property` on the pairs with an end in ``rows``.
+
+    The same loop, witness rule and validation over fewer pairs: a source
+    outside ``rows`` keeps only its pairs with later rows. A graph that grows
+    by an ear keeps every old pair's witnesses, so checking the rows of the
+    ear's new vertices checks the grown graph; number them first, and only
+    their own walk trees are built up front.
+    """
     c.validate(g)
     if g.n >= 2 and len(connected_components(g)) != 1:
         raise PreconditionError("the strong property is defined on connected graphs")
     view = _ColorView(g, c.as_vector(g))
+    row_set = set(rows)
+    rows = sorted(row_set)
     witnesses: dict[tuple[int, int], StrongWitness] = {}
     trees: dict[int, _SourceTree] = {}  # trees of later sources
     for u in range(g.n):
-        tree = trees.pop(u, None) or _source_tree(view, u)
-        for v in range(u + 1, g.n):
+        tree = trees.pop(u, None)
+        vs = range(u + 1, g.n) if u in row_set else [v for v in rows if v > u]
+        if not vs:
+            continue
+        tree = tree or _source_tree(view, u)
+        for v in vs:
             # candidate paths run v -> u, as _strong_pair searches them;
             # reversed below so that the certificates run u -> v
             cands = _tree_ends(tree, v, False)

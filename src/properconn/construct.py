@@ -12,7 +12,9 @@ re-verifies the result before returning it:
 * ``color_3ec`` — 3-edge-connected noncomplete graphs: spanning bipartite
   max-cut subgraph, strong 2-coloring, lift.
 * ``color_2connected_3`` — any 2-connected graph in at most three colors with
-  the strong property.
+  the strong property: two when a construction or a budgeted search finds
+  them, else a decoration of the 3-edge-connected quotient, else ear by ear
+  along Schmidt's chains.
 * ``classify_diam3`` / ``color_diam3`` — the full case analysis showing
   2-connected noncomplete diameter-3 graphs need only two colors.
 
@@ -37,8 +39,8 @@ from .graph import (
     _norm,
     bipartition,
     bridges,
+    chain_decomposition,
     connected_components,
-    connectivity,
     diameter,
     edge_connectivity,
     is_connected,
@@ -51,6 +53,7 @@ from .graph import (
 from .coloring import (
     EdgeColoring,
     _to_host,
+    _strong_rows,
     _to_local,
     has_strong_property,
     is_proper_connected,
@@ -463,14 +466,93 @@ def _two_color_budget(g: Graph) -> int:
     return max(2_000, min(150_000, 40_000_000 // max(1, g.n * g.m)))
 
 
+# End colors (first edge, last edge) of the sequences an ear is tried with,
+# in order.
+_EAR_ENDS = ((1, 2), (2, 1), (1, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3))
+
+
+def _ear_colors(length: int, first: int, last: int) -> Optional[list[int]]:
+    """The proper sequence of ``length`` >= 2 colors from 1..3 that starts
+    with ``first``, ends with ``last`` and takes the smallest fitting color
+    at each step between; None when none exists (two equal colors)."""
+    if length == 2 and first == last:
+        return None
+    cols = [first]
+    for i in range(1, length - 1):
+        avoid = {cols[-1], last} if i == length - 2 else {cols[-1]}
+        cols.append(min({1, 2, 3} - avoid))
+    return cols + [last]
+
+
+def _two_connected(g: Graph, chains: list[tuple[int, ...]]) -> bool:
+    """Schmidt's test on ``chain_decomposition(g)``: at least 3 vertices, no
+    vertex of degree below 2, chains that cover every edge (so no bridge and
+    one component) and no cycle among them but the first (no cut vertex)."""
+    return (
+        g.n >= 3
+        and g.min_degree() >= 2
+        and sum(len(ch) - 1 for ch in chains) == g.m
+        and all(ch[0] != ch[-1] for ch in chains[1:])
+    )
+
+
+def _ear_coloring(g: Graph, chains: list[tuple[int, ...]]) -> EdgeColoring:
+    """Strong 3-coloring of a 2-connected graph, ear by ear, after Borozan
+    et al. (Discrete Math. 312 (2012) 2550-2560).
+
+    ``chains`` is ``chain_decomposition(g)``. The first chain, a cycle, is
+    colored 1, 2, 1, ... with a 3 closing an odd length; a properly colored
+    cycle is strong, since the two arcs between a pair leave each end by its
+    two edges. Each later chain with an interior is an ear on the graph
+    grown so far, and it takes the first sequence of :data:`_EAR_ENDS`
+    under which every pair at one of its new vertices has a witness in the
+    grown graph; no other pair needs a check, as it keeps its witnesses. An
+    ear that no sequence fits raises :class:`InternalError`. Chains of one
+    edge add no vertex and take color 1 at the end: witnesses survive added
+    edges. So every pair was verified once, in the graph where it appeared.
+    """
+    cycle, *ears = chains
+    asg = _alternating(list(cycle))
+    if len(cycle) % 2 == 0:  # odd cycle: the edge back to the start clashes
+        asg[_norm(cycle[-2], cycle[-1])] = 3
+    grown = list(cycle[:-1])  # vertices in the order they were added
+    for ear in ears:
+        if len(ear) == 2:
+            continue
+        new = list(ear[1:-1])
+        labels = new + grown  # new vertices first: the checked rows
+        loc = {v: i for i, v in enumerate(labels)}
+        edges = [_norm(x, y) for x, y in zip(ear, ear[1:])]
+        for first, last in _EAR_ENDS:
+            cols = _ear_colors(len(edges), first, last)
+            if cols is None:
+                continue
+            trial = {**asg, **dict(zip(edges, cols))}
+            local = {_norm(loc[x], loc[y]): col for (x, y), col in trial.items()}
+            h = Graph(len(labels), local)
+            if _strong_rows(h, EdgeColoring(3, local), range(len(new))).ok:
+                asg = trial
+                break
+        else:
+            raise InternalError(
+                f"no color sequence on the ear {ear} keeps its new vertices' pairs "
+                "witnessed — falsifies the ear step"
+            )
+        grown += new
+    for e in g.edges:
+        asg.setdefault(e, 1)
+    return EdgeColoring(3, asg)
+
+
 def color_2connected_3(g: Graph) -> EdgeColoring:
     """Verified strong coloring of a 2-connected graph with at most 3 colors.
 
     Prefers two colors whenever a constructive route or a budgeted exact
-    search certifies one; otherwise decorates the 3-edge-connected quotient
-    before resorting to an exact strong-coloring search.
+    search certifies one; otherwise decorates the 3-edge-connected quotient,
+    and when that fails, colors the graph ear by ear (:func:`_ear_coloring`).
     """
-    if connectivity(g) < 2:
+    chains = chain_decomposition(g)
+    if not _two_connected(g, chains):
         raise PreconditionError("input must be 2-connected")
     if bipartition(g) is not None:
         return strong_2_coloring_bipartite(g)  # 2-connected => bridgeless
@@ -487,13 +569,7 @@ def color_2connected_3(g: Graph) -> EdgeColoring:
     deco = _ring_decoration(g)
     if deco is not None and has_strong_property(g, deco).ok:
         return deco
-    found = exists_pc_coloring(g, 3, require_strong=True, budget_nodes=20_000_000)
-    if found is None:
-        raise InternalError(
-            "no strong 3-coloring exists on a 2-connected graph — falsifies "
-            "the three-color upper bound"
-        )
-    return found
+    return _ear_coloring(g, chains)
 
 
 # -- diameter-3 decomposition ------------------------------------------------------
@@ -719,7 +795,7 @@ def classify_diam3(g: Graph) -> Diam3Decomposition:
         raise PreconditionError("input must be connected")
     if g.is_complete():
         raise PreconditionError("input must be noncomplete")
-    if connectivity(g) < 2:
+    if not _two_connected(g, chain_decomposition(g)):
         raise PreconditionError("input must be 2-connected")
     d = diameter(g)
     if d != 3:

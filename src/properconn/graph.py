@@ -406,6 +406,55 @@ def bridges(g: Graph) -> tuple[Edge, ...]:
     return bridges_and_cut_vertices(g).bridges
 
 
+def chain_decomposition(g: Graph) -> list[tuple[int, ...]]:
+    """Schmidt's chain decomposition (IPL 113 (2013) 241-244) of the
+    component of vertex 0, from one DFS.
+
+    For each vertex v in DFS order and each back edge vw down to a
+    descendant w (ascending w), the chain is v, w and then w's tree path up
+    to the first vertex an earlier chain, or this one, already holds. The
+    first chain is a cycle through the root. The chains cover every edge
+    that is not a bridge exactly once, and each chain's interior is new. In
+    a 2-edge-connected graph each later chain starts and ends on earlier
+    chains, and the graph is 2-connected exactly when, with minimum degree
+    at least 2, only the first chain is a cycle.
+    """
+    if g.n == 0:
+        return []
+    order = [0]
+    dfi = [-1] * g.n
+    dfi[0] = 0
+    parent = [-1] * g.n
+    stack = [(0, iter(g.adj[0]))]
+    while stack:
+        u, it = stack[-1]
+        for w in it:
+            if dfi[w] < 0:
+                dfi[w] = len(order)
+                order.append(w)
+                parent[w] = u
+                stack.append((w, iter(g.adj[w])))
+                break
+        else:
+            stack.pop()
+    held = [False] * g.n
+    chains = []
+    for v in order:
+        for w in g.adj[v]:
+            if dfi[w] < dfi[v] or parent[w] == v:
+                continue  # not a back edge down from v
+            held[v] = True
+            chain = [v]
+            while True:
+                chain.append(w)
+                if held[w]:
+                    break
+                held[w] = True
+                w = parent[w]
+            chains.append(tuple(chain))
+    return chains
+
+
 # -- connectivity via unit-capacity flow -------------------------------------
 
 

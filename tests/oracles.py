@@ -82,11 +82,14 @@ def brute_is_pc(g: Graph, c) -> bool:
     )
 
 
-def brute_strong(g: Graph, c):
+def brute_strong(g: Graph, c, rows=None):
     """The lexicographically first pair without two proper paths that differ
-    in both end colors, or None when the coloring is strong."""
+    in both end colors, or None when the coloring is strong; with ``rows``,
+    only pairs with an end in ``rows`` count."""
     for u in range(g.n):
         for v in range(u + 1, g.n):
+            if rows is not None and u not in rows and v not in rows:
+                continue
             profs = {
                 (cols[0], cols[-1])
                 for p in simple_paths(g, u, v)

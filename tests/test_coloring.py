@@ -1,6 +1,8 @@
 """Edge colorings, proper-path certificates, and the connectivity checkers."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -319,6 +321,58 @@ class TestHasStrongProperty:
                 assert "shares an end color" in str(exc)
                 raised += 1
         assert raised
+
+
+def _strong_record(check, rng):
+    """Verdict, failing pair, witness keys and witness paths of ``check`` on
+    seeded colorings (n 3-7, k 2-4), drawn until 40 pass and 40 fail."""
+    seen = {True: 0, False: 0}
+    out = []
+    while min(seen.values()) < 40:
+        n = rng.randint(3, 7)
+        g = corpus.random_connected(n, rng.randint(n, min(n * (n - 1) // 2, 2 * n)), rng)
+        k = rng.randint(2, 4)
+        c = EdgeColoring.from_vector(g, k, [rng.randint(1, k) for _ in range(g.m)])
+        chk = check(g, c)
+        seen[chk.ok] += 1
+        out.append(
+            [chk.ok, chk.failing_pair, [[*key, w.p1.path, w.p2.path] for key, w in chk.witnesses.items()]]
+        )
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+class TestStrongRows:
+    """``_strong_rows``, the strong check restricted to the pairs at some
+    rows, which the ear construction runs on each ear's new vertices."""
+
+    def test_matches_brute_force_on_the_rows(self):
+        rng = random.Random(71)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 40:
+            n = rng.randint(3, 7)
+            g, c = _random_colored(rng, n, rng.randint(n, min(n * (n - 1) // 2, 2 * n)), rng.randint(2, 3))
+            rows = rng.sample(range(n), rng.randint(1, n))
+            chk = coloring._strong_rows(g, c, rows)
+            want = oracles.brute_strong(g, c, set(rows))
+            assert (chk.ok, chk.failing_pair) == (want is None, want)
+            seen[chk.ok] += 1
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if u in rows or v in rows]
+            upto = pairs.index(chk.failing_pair) if not chk.ok else len(pairs)
+            assert list(chk.witnesses) == pairs[:upto]
+            for (u, v), w in chk.witnesses.items():
+                w.validate(g, c)
+                assert all((cert.path[0], cert.path[-1]) == (u, v) for cert in (w.p1, w.p2))
+
+    def test_every_row_gives_the_full_check(self):
+        # the digest of has_strong_property's records before the rows core
+        # was split out of it
+        want = "0462eb4cae02125f61f6cbfd4c76031868d885314ee40336908f8e349b07e48f"
+
+        def every_row(g, c):
+            return coloring._strong_rows(g, c, range(g.n))
+
+        assert _strong_record(every_row, random.Random(73)) == want
+        assert _strong_record(has_strong_property, random.Random(73)) == want
 
 
 class TestWitnessRule:

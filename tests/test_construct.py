@@ -15,6 +15,7 @@ from properconn import (
     InternalError,
     OddCycleError,
     PreconditionError,
+    build_counterexample,
     classify_diam3,
     color_2connected_3,
     color_3ec,
@@ -40,6 +41,7 @@ from properconn.construct import (
 )
 from properconn.graph import (
     bipartition,
+    chain_decomposition,
     connected_components,
     connectivity,
     diameter,
@@ -396,8 +398,7 @@ def _lambda2_input(n, s):
             return g
 
 
-# Inputs on which the strong two-color search used to run out of its budget
-# and hand over to the 20M-node three-color search, which did not finish.
+# Inputs on which the strong two-color search used to run out of its budget.
 _STUCK_INPUTS = {
     "n14-m31-seed5": lambda: corpus.random_connected(14, 31, random.Random(5)),
     **{f"2c:{n}:{s}": functools.partial(_lambda2_input, n, s)
@@ -452,6 +453,62 @@ class TestColor2Connected3:
                 c = color_2connected_3(g)
                 assert c.colors_used() <= 3
                 assert has_strong_property(g, c).ok
+
+    def test_chain_test_is_2_connectivity(self):
+        for n in range(1, 8):
+            for g in corpus.all_graphs(n):
+                chains = chain_decomposition(g)
+                assert construct._two_connected(g, chains) == (connectivity(g) >= 2)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, s", [(14, 1), (16, 3), (40, 4), (30, 0)])
+    def test_ears_color_what_the_two_color_search_leaves(self, n, s, monkeypatch):
+        # the budgeted two-color search runs out and the ring decoration
+        # fails its check on these; the ears answer, with no three-color search
+        g = _lambda2_input(n, s)
+        palettes = []
+        search = construct.exists_pc_coloring
+
+        def spy(h, k, **kwargs):
+            palettes.append(k)
+            return search(h, k, **kwargs)
+
+        monkeypatch.setattr(construct, "exists_pc_coloring", spy)
+        t0 = time.process_time()
+        c = color_2connected_3(g)
+        assert time.process_time() - t0 < 120
+        assert palettes == [2]
+        assert c.k == 3 and c.colors_used() <= 3
+        assert has_strong_property(g, c).ok
+
+
+class TestEarColoring:
+    def test_every_small_two_connected_graph(self):
+        graphs = [g for n in range(3, 8) for g in corpus.connected_graphs(n) if connectivity(g) >= 2]
+        assert len(graphs) == 538
+        for g in graphs:
+            c = construct._ear_coloring(g, chain_decomposition(g))
+            assert c.colors_used() <= 3
+            assert has_strong_property(g, c).ok
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("variant, scale", [("mini", 1), ("k33", 1), ("k33", 2), ("k33", 3)])
+    def test_gadgets(self, variant, scale):
+        g, _ = build_counterexample(variant, scale)
+        t0 = time.process_time()
+        c = construct._ear_coloring(g, chain_decomposition(g))
+        assert time.process_time() - t0 < 30
+        assert has_strong_property(g, c).ok
+
+    def test_an_ear_no_sequence_fits_is_named(self, monkeypatch):
+        # K4's chains: the triangle 0-2-1-0, the ear 0-3-2 and the edge 1-3;
+        # colors 1, 2 on the ear leave a pair at vertex 3 without a witness
+        g = corpus.complete(4)
+        chains = chain_decomposition(g)
+        assert chains[1] == (0, 3, 2)
+        monkeypatch.setattr(construct, "_EAR_ENDS", ((1, 2),))
+        with pytest.raises(InternalError, match=r"ear \(0, 3, 2\)"):
+            construct._ear_coloring(g, chains)
 
 
 class TestClassifyDiam3:

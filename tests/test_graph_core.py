@@ -13,6 +13,7 @@ from properconn.graph import (
     PreconditionError,
     bipartition,
     bridges_and_cut_vertices,
+    chain_decomposition,
     connectivity,
     diameter,
     edge_connectivity,
@@ -162,6 +163,35 @@ class TestBridgesAndCutVertices:
             got = bridges_and_cut_vertices(g)
             assert tuple(sorted(got.bridges)) == tuple(sorted(want_b))
             assert tuple(sorted(got.cut_vertices)) == tuple(sorted(want_c))
+
+
+class TestChainDecomposition:
+    def test_k4(self):
+        # DFS path 0-1-2-3; the back edges from 0 run to 2 and 3, then 1-3
+        assert chain_decomposition(corpus.complete(4)) == [(0, 2, 1, 0), (0, 3, 2), (1, 3)]
+
+    def test_chains_on_every_small_connected_graph(self):
+        # the chains cover the edges that are not bridges, each once; the
+        # first is a cycle and every later chain's interior is new; with no
+        # bridge, every later chain also starts and ends on earlier chains
+        for n in range(1, 8):
+            for g in corpus.connected_graphs(n):
+                chains = chain_decomposition(g)
+                want_bridges, _ = oracles.brute_bridges_and_cuts(g)
+                covered = [tuple(sorted(e)) for ch in chains for e in zip(ch, ch[1:])]
+                assert sorted(covered) == sorted(set(g.edges) - set(want_bridges))
+                if not chains:
+                    continue
+                first = chains[0]
+                assert first[0] == first[-1] and len(set(first)) == len(first) - 1 >= 3
+                held = set(first)
+                for ch in chains[1:]:
+                    inner = ch[1:-1]
+                    assert len(set(inner)) == len(inner) and not held & set(inner)
+                    assert ch[-1] in held | {ch[0]}
+                    if not want_bridges:
+                        assert ch[0] in held and ch[-1] in held
+                    held |= set(ch)
 
 
 class TestBipartition:
