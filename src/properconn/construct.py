@@ -41,6 +41,7 @@ from .graph import (
     bridges,
     chain_decomposition,
     connected_components,
+    cut_labels,
     diameter,
     edge_connectivity,
     is_connected,
@@ -247,10 +248,20 @@ def color_3ec(g: Graph) -> EdgeColoring:
     """
     if g.is_complete():
         raise PreconditionError("complete graphs are a different regime (pc = 1)")
-    lam = edge_connectivity(g)
-    if lam < 3:
+    if not _three_edge_connected(g):
+        lam = edge_connectivity(g)
         raise PreconditionError(f"need 3-edge-connectivity, have kappa'={lam}")
     return _color_3ec(g)
+
+
+def _three_edge_connected(g: Graph) -> bool:
+    """Whether λ(g) >= 3, by :func:`cut_labels`: g is connected, has two or
+    more vertices, and no edge is a bridge (label 0) or forms a cut with
+    another (equal labels)."""
+    if g.n < 2 or not is_connected(g):
+        return False
+    labels = cut_labels(g)
+    return 0 not in labels and len(set(labels)) == len(labels)
 
 
 def _color_3ec(g: Graph) -> EdgeColoring:
@@ -277,7 +288,17 @@ def _color_3ec(g: Graph) -> EdgeColoring:
 
 def _three_ec_classes(g: Graph) -> list[int]:
     """Class labels: two vertices share one iff no cut of at most two edges
-    separates them (and they share a component)."""
+    separates them (and they share a component).
+
+    By :func:`cut_labels`, those cuts are the bridges (label 0), the pairs
+    with a bridge, and the pairs of equal labels. A pair with a bridge
+    separates what the bridge does, and removing every bridge at once
+    separates what some bridge does. The edges of one nonzero label and the
+    components of g minus them form a cycle: every two of them are a cut, so
+    every cycle through one passes through all. So removing the whole class
+    separates what its pairs do, and one refinement per label class, the
+    zero class included, gives the classes.
+    """
     label = [0] * g.n
     comps = connected_components(g)
     for i, comp in enumerate(comps):
@@ -296,14 +317,12 @@ def _three_ec_classes(g: Graph) -> list[int]:
             key = (label[v], piece[v])
             label[v] = remap.setdefault(key, len(remap))
 
-    one_cuts = bridges(g)
-    for e in one_cuts:
-        refine((e,))
-    for e in g.edges:
-        if e in one_cuts:
-            continue
-        for f in bridges(g.without_edges([e])):
-            refine((e, f))
+    by_label: dict[int, list[Edge]] = {}
+    for e, lab in zip(g.edges, cut_labels(g)):
+        by_label.setdefault(lab, []).append(e)
+    for lab, cut in by_label.items():
+        if lab == 0 or len(cut) > 1:
+            refine(tuple(cut))
     # canonical labels: ascending by least vertex
     remap2: dict[int, int] = {}
     for v in range(g.n):
@@ -556,7 +575,7 @@ def color_2connected_3(g: Graph) -> EdgeColoring:
         raise PreconditionError("input must be 2-connected")
     if bipartition(g) is not None:
         return strong_2_coloring_bipartite(g)  # 2-connected => bridgeless
-    if edge_connectivity(g) >= 3 and not g.is_complete():
+    if _three_edge_connected(g) and not g.is_complete():
         return _color_3ec(g)
     try:
         found = exists_pc_coloring(
@@ -623,18 +642,18 @@ class Diam3Decomposition:
 def _wide_two_cut(g: Graph) -> Optional[tuple[Edge, Edge, list[list[int]]]]:
     """Lexicographically first 2-edge-cut whose removal leaves two sides >= 3.
 
-    Removing {e, f} disconnects a connected ``g`` exactly when e is a bridge
-    of ``g`` or f is a bridge of ``g - e``, so each e scans only those f
-    (every f when ``g`` is not connected or e is a bridge).
+    An edge set is a cut exactly when it meets every cycle an even number of
+    times, so by the lemma of :func:`cut_labels`, removing {e, f} disconnects
+    a connected ``g`` exactly when their labels are equal or one of them is
+    0. Each e scans the later f in order and skips the others. On a
+    disconnected ``g`` every pair disconnects it, and each e scans every f.
     """
-    one_cuts = set(bridges(g)) if len(connected_components(g)) == 1 else None
+    labels = cut_labels(g) if is_connected(g) else None
     for i, e in enumerate(g.edges):
-        cuts = None
-        if one_cuts is not None and e not in one_cuts:
-            cuts = set(bridges(g.without_edges([e])))
-        for f in g.edges[i + 1 :]:
-            if cuts is not None and f not in cuts:
+        for j in range(i + 1, g.m):
+            if labels is not None and labels[i] and labels[j] not in (0, labels[i]):
                 continue
+            f = g.edges[j]
             rest = g.without_edges([e, f])
             comps = connected_components(rest)
             if len(comps) == 1:
@@ -800,7 +819,7 @@ def classify_diam3(g: Graph) -> Diam3Decomposition:
     d = diameter(g)
     if d != 3:
         raise PreconditionError(f"diameter is {d}, need exactly 3")
-    if edge_connectivity(g) >= 3:
+    if _three_edge_connected(g):
         return Diam3Decomposition(case_tag=CASE_THREE_EC)
     if all(g.degree(v) == 2 for v in range(g.n)) and g.n % 2 == 1:
         return _classify_case2(g)  # a 2-connected graph without even cycles

@@ -2,7 +2,8 @@
 
 Immutable graphs with dense vertex ids plus the classical primitives the rest
 of the package leans on: connectivity and edge connectivity, bridges and cut
-vertices, bipartiteness, diameter, two-fans (Menger), maximum cuts, maximal
+vertices, cycle-space labels that tell every cut of one or two edges,
+bipartiteness, diameter, two-fans (Menger), maximum cuts, maximal
 2-edge-connected bipartite subgraphs, and bipartite matching.
 
 Edmonds' blossom search for an augmenting path, ``_blossom_search``, lives
@@ -404,6 +405,62 @@ def bridges_and_cut_vertices(g: Graph) -> CutStructure:
 
 def bridges(g: Graph) -> tuple[Edge, ...]:
     return bridges_and_cut_vertices(g).bridges
+
+
+def cut_labels(g: Graph) -> list[int]:
+    """Cycle-space label of each edge, indexed like ``g.edges``, from one pass.
+
+    Over a BFS spanning forest, the i-th non-tree edge gets the bit
+    ``1 << i``, and a tree edge gets the XOR of the bits of the non-tree edges
+    whose fundamental cycle passes through it: the XOR, over the vertices of
+    its lower subtree, of the bits of their non-tree edges (an edge with both
+    ends inside cancels).
+
+    A label is the edge's row in the basis of fundamental cycles. An edge set
+    is a cut exactly when it meets every cycle an even number of times, and
+    the fundamental cycles span the cycle space, so a set is a cut exactly
+    when its labels XOR to 0. Removing a set disconnects a connected graph
+    exactly when the set holds a nonempty cut, which gives: ``g - e`` is
+    disconnected iff ``label[e] == 0`` (e is a bridge), and ``g - {e, f}`` is
+    disconnected iff ``label[e] == label[f]`` or one of them is 0. On a
+    disconnected graph the same holds with "disconnected" read as "has more
+    components than ``g``". The labels are exact, not hashed.
+    """
+    eidx = g.edge_index()
+    parent = [-1] * g.n
+    up = [-1] * g.n  # index of the tree edge to the parent
+    order: list[int] = []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    up[w] = eidx[_norm(u, w)]
+                    order.append(w)
+                    q.append(w)
+    label = [0] * g.m
+    tree = set(up)
+    below = [0] * g.n
+    bit = 1
+    for i, (u, v) in enumerate(g.edges):
+        if i not in tree:
+            label[i] = bit
+            below[u] ^= bit
+            below[v] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        if parent[v] >= 0:
+            label[up[v]] = below[v]
+            below[parent[v]] ^= below[v]
+    return label
 
 
 def chain_decomposition(g: Graph) -> list[tuple[int, ...]]:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive — direct path enumeration, exhaustive
 coloring sweeps, textbook augmenting paths — and shares no code with the
-library beyond the Graph container.
+library beyond the Graph container, except that ``brute_three_ec_classes``
+runs the library's bridge and component searches, which the tests check
+against removal enumeration.
 """
 
 from __future__ import annotations
@@ -230,25 +232,27 @@ def ear_starts(g: Graph, side: dict[int, int]) -> list[tuple[int, int]]:
     ]
 
 
+def ncomp(h: Graph) -> int:
+    """Number of connected components, by BFS."""
+    seen = [False] * h.n
+    comps = 0
+    for s in range(h.n):
+        if seen[s]:
+            continue
+        comps += 1
+        q = deque([s])
+        seen[s] = True
+        while q:
+            x = q.popleft()
+            for w in h.adj[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    q.append(w)
+    return comps
+
+
 def brute_bridges_and_cuts(g: Graph):
     """Bridges and cut vertices by removal enumeration."""
-
-    def ncomp(h: Graph) -> int:
-        seen = [False] * h.n
-        comps = 0
-        for s in range(h.n):
-            if seen[s]:
-                continue
-            comps += 1
-            q = deque([s])
-            seen[s] = True
-            while q:
-                x = q.popleft()
-                for w in h.adj[x]:
-                    if not seen[w]:
-                        seen[w] = True
-                        q.append(w)
-        return comps
 
     base = ncomp(g)
     bridges = tuple(
@@ -264,3 +268,34 @@ def brute_bridges_and_cuts(g: Graph):
         if ncomp(sub) > base:
             cut_vertices.append(v)
     return bridges, tuple(cut_vertices)
+
+
+def brute_three_ec_classes(g: Graph) -> list[int]:
+    """Vertex classes of at most two-edge cuts, cut by cut: refine the
+    components of g by those of g minus each bridge, and of g minus each
+    pair {e, f} with f a bridge of g - e. Labels ascend by least vertex."""
+    from properconn.graph import bridges, connected_components
+
+    label = [0] * g.n
+    for i, comp in enumerate(connected_components(g)):
+        for v in comp:
+            label[v] = i
+
+    def refine(cut) -> None:
+        piece = [0] * g.n
+        for j, comp in enumerate(connected_components(g.without_edges(cut))):
+            for v in comp:
+                piece[v] = j
+        remap: dict[tuple[int, int], int] = {}
+        for v in range(g.n):
+            label[v] = remap.setdefault((label[v], piece[v]), len(remap))
+
+    one_cuts = bridges(g)
+    for e in one_cuts:
+        refine((e,))
+    for e in g.edges:
+        if e not in one_cuts:
+            for f in bridges(g.without_edges([e])):
+                refine((e, f))
+    canon: dict[int, int] = {}
+    return [canon.setdefault(lab, len(canon)) for lab in label]

@@ -44,6 +44,7 @@ from properconn.graph import (
     chain_decomposition,
     connected_components,
     connectivity,
+    cut_labels,
     diameter,
     edge_connectivity,
 )
@@ -342,17 +343,28 @@ class TestColor3ec:
         ids=["diam3", "2connected"],
     )
     def test_routes_compute_edge_connectivity_once(self, colorer, g, monkeypatch):
-        # both routes pick color_3ec's construction by the connectivity they
-        # computed, and it does not compute it again
-        calls = []
+        # both routes settle lambda >= 3 with one cut-label pass, pick
+        # color_3ec's construction by it, and run no max-flow
+        passes = []
 
         def counting(h):
-            calls.append(h)
-            return edge_connectivity(h)
+            passes.append(h)
+            return cut_labels(h)
 
-        monkeypatch.setattr(construct, "edge_connectivity", counting)
+        def refuse(h):
+            raise AssertionError("no max-flow on valid input")
+
+        monkeypatch.setattr(construct, "cut_labels", counting)
+        monkeypatch.setattr(construct, "edge_connectivity", refuse)
         assert has_strong_property(g, colorer(g)).ok
-        assert len(calls) == 1
+        assert passes == [g]
+
+    def test_precondition_names_the_exact_edge_connectivity(self):
+        bridged = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(PreconditionError, match="kappa'=1$"):
+            color_3ec(bridged)
+        with pytest.raises(PreconditionError, match="kappa'=2$"):
+            color_3ec(corpus.cycle(5))
 
 
 def _two_complete_bipartite_blocks(s):
@@ -453,6 +465,21 @@ class TestColor2Connected3:
                 c = color_2connected_3(g)
                 assert c.colors_used() <= 3
                 assert has_strong_property(g, c).ok
+
+    def test_three_ec_classes_match_the_pairwise_oracle(self, mini):
+        # one refinement per label class against one per cut of two edges
+        graphs = [
+            g
+            for n in range(3, 8)
+            for g in corpus.connected_graphs(n)
+            if construct._two_connected(g, chain_decomposition(g))
+        ]
+        assert len(graphs) == 538
+        graphs.append(mini)
+        graphs += [build_counterexample("k33", scale)[0] for scale in (1, 2, 3)]
+        graphs += [_lambda2_input(n, s) for n, s in ((14, 1), (16, 3), (40, 4), (30, 0))]
+        for g in graphs:
+            assert construct._three_ec_classes(g) == oracles.brute_three_ec_classes(g)
 
     def test_chain_test_is_2_connectivity(self):
         for n in range(1, 8):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from properconn import corpus, graph
+from properconn import construct, corpus, graph
 from properconn.graph import (
     Graph,
     GraphError,
@@ -15,6 +15,7 @@ from properconn.graph import (
     bridges_and_cut_vertices,
     chain_decomposition,
     connectivity,
+    cut_labels,
     diameter,
     edge_connectivity,
     is_connected,
@@ -163,6 +164,34 @@ class TestBridgesAndCutVertices:
             got = bridges_and_cut_vertices(g)
             assert tuple(sorted(got.bridges)) == tuple(sorted(want_b))
             assert tuple(sorted(got.cut_vertices)) == tuple(sorted(want_c))
+
+
+class TestCutLabels:
+    def test_cuts_match_removal_enumeration(self):
+        # one edge is a cut iff its label is 0, two edges are a cut iff
+        # their labels are equal or one is 0, and the lambda >= 3 test is
+        # edge connectivity's
+        rng = random.Random(19)
+        graphs = [g for n in range(1, 7) for g in corpus.connected_graphs(n)]
+        for _ in range(200):
+            n = rng.randint(4, 14)
+            graphs.append(corpus.random_connected(n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)), rng))
+        seen = {"bridge": 0, "pair": 0, "3ec": 0}
+        for g in graphs:
+            label = cut_labels(g)
+            assert len(label) == g.m
+            for i, e in enumerate(g.edges):
+                cut = oracles.ncomp(g.without_edges([e])) > 1
+                assert (label[i] == 0) == cut
+                seen["bridge"] += cut
+                for j in range(i + 1, g.m):
+                    cut = oracles.ncomp(g.without_edges([e, g.edges[j]])) > 1
+                    assert (label[i] == label[j] or 0 in (label[i], label[j])) == cut
+                    seen["pair"] += cut and label[i] == label[j] != 0
+            three = construct._three_edge_connected(g)
+            assert three == (edge_connectivity(g) >= 3)
+            seen["3ec"] += three
+        assert min(seen.values()) >= 30
 
 
 class TestChainDecomposition:
