@@ -42,7 +42,11 @@ end color is forbidden by where the end's pendant hangs. So every query
 settles. The strong check needs at most three queries for a pair the trees
 leave open, two when a tree gave one path, each with at most one end color
 forbidden; the gadget analysis needs one per escape route. Certificates are
-always validated before being returned.
+always validated against the coloring before being returned: a searched path
+edge by edge, and a path read off a walk tree step by step, where each tree
+state's step (its edge, its color and the change of color from its parent
+state) is checked once, the first time a certificate uses it, since every
+later walk through that state takes the same step.
 """
 
 from __future__ import annotations
@@ -672,7 +676,8 @@ def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
     """
     n = view.g.n
     for u in range(n):
-        arr, _, _, paths, _ = _source_tree(view, u)
+        arr, states, parent = _walk_tree(view.inc, view.colors, u)
+        paths, _ = _tree_paths(states, parent, n)
         reach = None  # u's matching reach, once a DFS toward u overran
         for v in range(u + 1, n):
             if paths[v]:
@@ -723,6 +728,14 @@ def _strong_rows(g: Graph, c: EdgeColoring, rows: Iterable[int]) -> StrongCheck:
     by an ear keeps every old pair's witnesses, so checking the rows of the
     ear's new vertices checks the grown graph; number them first, and only
     their own walk trees are built up front.
+
+    A witness that the trees settle is read straight off them by
+    :func:`_tree_certificate`, which checks each tree state's step against
+    ``c`` once, the first time a certificate uses it, and each path's length
+    and distinct vertices every time. Paths that :func:`_strong_pair` finds
+    by search go through :func:`certificate_from_path`. Either way every
+    edge, color and alternation of a witness is checked against ``c`` before
+    the witness is kept.
     """
     c.validate(g)
     if g.n >= 2 and len(connected_components(g)) != 1:
@@ -740,7 +753,7 @@ def _strong_rows(g: Graph, c: EdgeColoring, rows: Iterable[int]) -> StrongCheck:
         tree = tree or _source_tree(view, u)
         for v in vs:
             # candidate paths run v -> u, as _strong_pair searches them;
-            # reversed below so that the certificates run u -> v
+            # the certificates run u -> v
             cands = _tree_ends(tree, v, False)
             pick = _witness(cands)
             if pick is None:
@@ -749,49 +762,96 @@ def _strong_rows(g: Graph, c: EdgeColoring, rows: Iterable[int]) -> StrongCheck:
                 pick = _witness(cands)
             if pick is None:
                 pair = _strong_pair(view, v, u, tree[0], cands)
+                if pair is None:
+                    return StrongCheck(False, witnesses, (u, v))
+                p1 = certificate_from_path(g, c, pair[0][::-1])
+                p2 = certificate_from_path(g, c, pair[1][::-1])
             else:
-                pair = _end_path(cands[pick[0]]), _end_path(cands[pick[1]])
-            if pair is None:
-                return StrongCheck(False, witnesses, (u, v))
-            p1 = certificate_from_path(g, c, pair[0][::-1])
-            p2 = certificate_from_path(g, c, pair[1][::-1])
+                p1 = _tree_certificate(cands[pick[0]], c)
+                p2 = _tree_certificate(cands[pick[1]], c)
             if p1.colors[0] == p2.colors[0] or p1.colors[-1] == p2.colors[-1]:
                 raise InternalError(f"strong witness for {(u, v)} shares an end color")
             witnesses[(u, v)] = StrongWitness(p1, p2)
     return StrongCheck(True, witnesses)
 
 
-# ``(arr, states, parent, paths, first)``: a source's walk tree and which of
-# its walks are paths
-_SourceTree = tuple[list[int], list[tuple[int, int]], list[int], list[list[int]], list[int]]
+# ``(arr, states, parent, paths, first, checked)``: a source's walk tree in
+# the strong check, which of its walks are paths, and which states' steps a
+# certificate has checked against the coloring
+_SourceTree = tuple[
+    list[int], list[tuple[int, int]], list[int], list[list[int]], list[int], bytearray
+]
 
-# ``(color at v, color at u, states, parent, j, far)``: the tree path to state
-# ``j`` as a proper v -> u path of a pair (u, v), u < v, with its end colors;
-# ``far`` when it comes from v's tree, where it runs u -> v
-_End = tuple[int, int, list[tuple[int, int]], list[int], int, bool]
+# ``(color at v, color at u, tree, j, far)``: the path to state ``j`` of
+# ``tree`` as a proper v -> u path of a pair (u, v), u < v, with its end
+# colors; ``far`` when it comes from v's tree, where it runs u -> v
+_End = tuple[int, int, _SourceTree, int, bool]
 
 
 def _source_tree(view: _ColorView, s: int) -> _SourceTree:
-    """The walk tree from ``s`` with its simple states (:func:`_tree_paths`)."""
+    """The walk tree from ``s`` with its simple states (:func:`_tree_paths`)
+    and no state checked yet."""
     arr, states, parent = _walk_tree(view.inc, view.colors, s)
-    return (arr, states, parent, *_tree_paths(states, parent, len(view.inc)))
+    paths, first = _tree_paths(states, parent, len(view.inc))
+    return arr, states, parent, paths, first, bytearray(len(states))
 
 
 def _tree_ends(tree: _SourceTree, t: int, far: bool) -> list[_End]:
     """The simple states at ``t`` in ``tree`` as candidates. In u's tree
     (``far`` false, ``t`` = v) a state's last color is the color at v; in v's
     tree (``far``, ``t`` = u) its first color is."""
-    _, states, parent, paths, first = tree
+    _, states, _, paths, first, _ = tree
     if far:
-        return [(first[j], states[j][1], states, parent, j, True) for j in paths[t]]
-    return [(states[j][1], first[j], states, parent, j, False) for j in paths[t]]
+        return [(first[j], states[j][1], tree, j, True) for j in paths[t]]
+    return [(states[j][1], first[j], tree, j, False) for j in paths[t]]
 
 
 def _end_path(end: _End) -> tuple[int, ...]:
     """The v -> u path of a candidate."""
-    _, _, states, parent, j, far = end
-    path = _tree_path(states, parent, j)
+    _, _, tree, j, far = end
+    path = _tree_path(tree[1], tree[2], j)
     return path[::-1] if far else path
+
+
+def _tree_certificate(end: _End, c: EdgeColoring) -> ProperPathCertificate:
+    """The u -> v certificate of a candidate under ``c``, read off one
+    parent walk.
+
+    The walk to a state is its parent's walk plus one step, so each state's
+    step is checked once per tree, the first time a certificate uses it:
+    the edge from the parent state's vertex exists, ``c`` gives it the
+    state's color, and that color differs from the parent state's. A path
+    shorter than one edge and one that revisits a vertex are rejected per
+    path, as :func:`certificate_from_path` rejects them.
+    """
+    _, _, (_, states, parent, _, _, checked), j, far = end
+    get = c.assignment.get
+    path, cols = [], []
+    while j > 0:
+        w, col = states[j]
+        p = parent[j]
+        if not checked[j]:
+            x, last = states[p]
+            got = get((x, w) if x < w else (w, x))
+            if got is None:
+                raise InternalError(f"certificate uses non-edge ({x},{w})")
+            if got != col:
+                raise InternalError(f"certificate color mismatch at ({x},{w})")
+            if col == last:
+                raise InternalError(f"certificate path is not proper at ({x},{w})")
+            checked[j] = 1
+        path.append(w)
+        cols.append(col)
+        j = p
+    path.append(states[0][0])
+    if not far:  # u's tree: the walk back from v runs v -> u
+        path.reverse()
+        cols.reverse()
+    if len(path) < 2:
+        raise InternalError("certificate path must traverse an edge")
+    if len(set(path)) != len(path):
+        raise InternalError(f"certificate path revisits a vertex: {tuple(path)}")
+    return ProperPathCertificate(tuple(path), tuple(cols))
 
 
 def _witness(ends: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:

@@ -160,16 +160,10 @@ def lift_spanning_coloring(g: Graph, h: Graph, c_h: EdgeColoring) -> EdgeColorin
         raise PreconditionError("subgraph must span the host vertex set")
     if not is_connected(h):
         raise PreconditionError("spanning subgraph must be connected")
-    hedges = set(h.edges)
-    if not hedges <= set(g.edges):
+    if not set(h.edges) <= set(g.edges):
         raise PreconditionError("subgraph has an edge missing from the host")
     c_h.validate(h)
-    k = max(c_h.k, 1) if g.m else c_h.k
-    asg = dict(c_h.assignment)
-    for e in g.edges:
-        if e not in hedges:
-            asg[e] = 1
-    c = EdgeColoring(k, asg)
+    c = _lift(g, c_h)
     ok, pair = is_proper_connected(g, c)
     if not ok:
         raise PreconditionError(
@@ -177,6 +171,15 @@ def lift_spanning_coloring(g: Graph, h: Graph, c_h: EdgeColoring) -> EdgeColorin
             "not proper-connecting"
         )
     return c
+
+
+def _lift(g: Graph, c_h: EdgeColoring) -> EdgeColoring:
+    """``c_h``, a coloring of a spanning subgraph, with every other edge of
+    ``g`` colored 1; unchecked."""
+    asg = dict(c_h.assignment)
+    for e in g.edges:
+        asg.setdefault(e, 1)
+    return EdgeColoring(max(c_h.k, 1) if g.m else c_h.k, asg)
 
 
 def _first_connecting(
@@ -273,8 +276,9 @@ def _color_3ec(g: Graph) -> EdgeColoring:
             "maximality argument failed"
         )
     # Lifting keeps every certificate of h's coloring, so one strong check on
-    # g verifies both steps.
-    c = lift_spanning_coloring(g, h, _orientation_coloring(h))
+    # g verifies both steps. It implies the proper connectivity that
+    # lift_spanning_coloring checks, so the lift here runs no check of its own.
+    c = _lift(g, _orientation_coloring(h))
     check = has_strong_property(g, c)
     if not check.ok:
         raise InternalError(

@@ -375,6 +375,53 @@ class TestStrongRows:
         assert _strong_record(has_strong_property, random.Random(73)) == want
 
 
+class TestTreeCertificates:
+    """Witnesses read straight off the walk trees, each tree state's step
+    checked against the coloring once."""
+
+    @staticmethod
+    def _corrupt(monkeypatch, state):
+        # in source 0's tree, replace the first simple state at vertex 1
+        real = coloring._source_tree
+
+        def corrupted(view, s):
+            tree = real(view, s)
+            if s == 0:
+                _, states, _, paths, _, _ = tree
+                states[paths[1][0]] = state
+            return tree
+
+        monkeypatch.setattr(coloring, "_source_tree", corrupted)
+
+    def test_wrong_state_color_rejected(self, monkeypatch):
+        g, c = _cycle_coloring(4, (1, 2, 1, 2))
+        self._corrupt(monkeypatch, (1, 3))
+        with pytest.raises(InternalError, match="mismatch"):
+            has_strong_property(g, c)
+
+    def test_non_edge_rejected(self, monkeypatch):
+        g, c = _cycle_coloring(4, (1, 2, 1, 2))
+        self._corrupt(monkeypatch, (2, 1))  # 0 and 2 are not adjacent
+        with pytest.raises(InternalError, match="non-edge"):
+            has_strong_property(g, c)
+
+    def test_long_paths_match_the_path_builder(self, k33):
+        # the ring decoration of the k33 gadget: every pair is settled by the
+        # trees, through paths of up to about twenty edges
+        from properconn import construct
+
+        c = construct._ring_decoration(k33)
+        chk = has_strong_property(k33, c)
+        assert chk.ok and len(chk.witnesses) == k33.n * (k33.n - 1) // 2
+        longest = 0
+        for w in chk.witnesses.values():
+            w.validate(k33, c)
+            for cert in (w.p1, w.p2):
+                assert cert == certificate_from_path(k33, c, cert.path)
+                longest = max(longest, len(cert.colors))
+        assert longest >= 15
+
+
 class TestWitnessRule:
     """``_witness``, the one pairing rule of the strong check, and the query
     budget it gives ``_strong_pair``."""

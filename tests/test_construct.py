@@ -324,6 +324,36 @@ class TestColor3ec:
         for w in chk.witnesses.values():
             w.validate(g, c)
 
+    def test_one_whole_graph_check_per_call(self, monkeypatch):
+        # the strong check on g implies the lift's proper connectivity, so
+        # each call runs it alone
+        calls = {"strong": 0, "proper": 0}
+
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(construct, "has_strong_property", spy("strong", has_strong_property))
+        monkeypatch.setattr(construct, "is_proper_connected", spy("proper", is_proper_connected))
+        for g in (corpus.petersen(), corpus.hypercube(3), _two_complete_bipartite_blocks(4)):
+            before = dict(calls)
+            color_3ec(g)
+            assert calls["strong"] - before["strong"] == 1
+            assert calls["proper"] == before["proper"]
+
+    def test_failed_construction_is_an_internal_error(self, monkeypatch):
+        # an input that meets every precondition is not an input error, even
+        # when a step of the construction fails
+        def one_color(h):
+            return EdgeColoring(2, {e: 1 for e in h.edges})
+
+        monkeypatch.setattr(construct, "_orientation_coloring", one_color)
+        with pytest.raises(InternalError, match="missed the strong property"):
+            color_3ec(corpus.petersen())
+
 
     @pytest.mark.parametrize("s", [6, 10, 15])
     def test_two_complete_bipartite_blocks(self, s):
