@@ -129,25 +129,6 @@ class EdgeColoring:
         return EdgeColoring(self.k, {e: perm[c] for e, c in self.assignment.items()})
 
 
-def _to_host(colors: dict[Edge, int], vmap: Sequence[int]) -> dict[Edge, int]:
-    """A subgraph's edge colors keyed by host ids; ``vmap[i]`` is the host id
-    of local vertex ``i``."""
-    return {_norm(vmap[x], vmap[y]): col for (x, y), col in colors.items()}
-
-
-def _to_local(
-    colors: dict[Edge, int], sub: Graph, vmap: Sequence[int]
-) -> dict[Edge, int]:
-    """The colors of ``sub``'s edges, in ``sub.edges`` order, read from a
-    host-keyed ``colors``; ``sub``'s edges that ``colors`` lacks are left out."""
-    out = {}
-    for x, y in sub.edges:
-        key = _norm(vmap[x], vmap[y])
-        if key in colors:
-            out[(x, y)] = colors[key]
-    return out
-
-
 @dataclass(frozen=True)
 class ProperPathCertificate:
     """A vertex path together with its edge colors."""
@@ -668,18 +649,28 @@ def is_proper_connected(
     return pair is None, pair
 
 
-def _first_unconnected_pair(view: _ColorView) -> Optional[tuple[int, int]]:
-    """The lexicographically first pair without a proper path, or None.
+def _first_unconnected_pair(
+    view: _ColorView, rows: Optional[Iterable[int]] = None
+) -> Optional[tuple[int, int]]:
+    """The lexicographically first pair without a proper path, or None;
+    with ``rows``, only the pairs with an end in ``rows`` count, and a
+    source outside ``rows`` keeps only its pairs with later rows, as in
+    :func:`_strong_rows`.
 
     One walk tree per source ``u`` settles every ``v`` with a tree walk that
     is a path; only the pairs it leaves open are searched.
     """
     n = view.g.n
+    row_set = range(n) if rows is None else set(rows)
+    later = () if rows is None else sorted(row_set)
     for u in range(n):
+        vs = range(u + 1, n) if u in row_set else [v for v in later if v > u]
+        if not vs:
+            continue
         arr, states, parent = _walk_tree(view.inc, view.colors, u)
         paths, _ = _tree_paths(states, parent, n)
         reach = None  # u's matching reach, once a DFS toward u overran
-        for v in range(u + 1, n):
+        for v in vs:
             if paths[v]:
                 continue
             if reach is None:

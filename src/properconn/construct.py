@@ -8,7 +8,8 @@ re-verifies the result before returning it:
 * ``lift_spanning_coloring`` / ``extend_vertex_addition`` — monotonicity:
   colorings survive adding edges, and a degree->=2 vertex is absorbed by
   coloring only its new edges: four quick tries on the two smallest, then
-  (``extend_vertex_addition`` only) every assignment.
+  (``extend_vertex_addition`` only) every assignment. Each try checks only
+  the new vertex's pairs (``_absorb``, shared with the ear coloring).
 * ``color_3ec`` — 3-edge-connected noncomplete graphs: spanning bipartite
   max-cut subgraph, strong 2-coloring, lift.
 * ``color_2connected_3`` — any 2-connected graph in at most three colors with
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graph import (
     BipartiteSubgraph,
@@ -53,9 +54,9 @@ from .graph import (
 )
 from .coloring import (
     EdgeColoring,
-    _to_host,
+    _ColorView,
+    _first_unconnected_pair,
     _strong_rows,
-    _to_local,
     has_strong_property,
     is_proper_connected,
 )
@@ -182,30 +183,42 @@ def _lift(g: Graph, c_h: EdgeColoring) -> EdgeColoring:
     return EdgeColoring(max(c_h.k, 1) if g.m else c_h.k, asg)
 
 
-def _first_connecting(
-    gp: Graph,
-    base: dict[Edge, int],
-    order: list[Edge],
-    combos: Iterable[tuple[int, ...]],
-) -> Optional[EdgeColoring]:
-    """First of ``combos`` (colors for the edges ``order``) that, added to
-    ``base``, keeps ``gp`` proper connected; None when none does."""
-    for combo in combos:
-        cand = EdgeColoring(2, {**base, **dict(zip(order, combo))})
-        if is_proper_connected(gp, cand)[0]:
-            return cand
+def _relabel(colors: dict[Edge, int], label: Sequence[int] | dict[int, int]) -> dict[Edge, int]:
+    """``colors`` with each vertex ``x`` renamed ``label[x]``: by a subgraph's
+    vertex map, its colors keyed by host ids, and by the inverse, back."""
+    return {_norm(label[x], label[y]): col for (x, y), col in colors.items()}
+
+
+def _absorb(
+    asg: dict[Edge, int], grown: Iterable[int], new: list[int], edges: list[Edge],
+    tries: Iterable[Sequence[int]], k: int, rows_ok: Callable[..., bool],
+) -> Optional[dict[Edge, int]]:
+    """The vertices ``new`` join the graph of ``asg``'s edges on ``grown``,
+    whose colors stay frozen: ``asg`` plus the first of ``tries`` (colors of
+    the new ``edges``) under which ``rows_ok(h, c, rows)`` passes, or None.
+    Old pairs keep their paths, so only the new vertices' pairs are checked:
+    ``h`` numbers them first, and ``rows`` is their ids.
+    """
+    loc = {v: i for i, v in enumerate([*new, *grown])}
+    base = _relabel(asg, loc)
+    local = [_norm(loc[x], loc[y]) for x, y in edges]
+    h = Graph(len(loc), [*base, *local])
+    rows = range(len(new))
+    for cols in tries:
+        if rows_ok(h, EdgeColoring(k, {**base, **dict(zip(local, cols))}), rows):
+            return {**asg, **dict(zip(edges, cols))}
     return None
 
 
-def _quick_tries(
-    gp: Graph, base: dict[Edge, int], new_edges: list[Edge]
-) -> Optional[EdgeColoring]:
-    """The four colorings of the two smallest of at least two new edges, the
-    others colored 1: the first that keeps ``gp`` proper connected, or None."""
-    order = sorted(new_edges)
-    rest = (1,) * (len(order) - 2)
-    tries = ((c1, c2, *rest) for c1, c2 in itertools.product((1, 2), repeat=2))
-    return _first_connecting(gp, base, order, tries)
+def _proper_rows(h: Graph, c: EdgeColoring, rows: range) -> bool:
+    """Whether every pair of ``h`` at ``rows`` has a proper path under ``c``."""
+    return _first_unconnected_pair(_ColorView(h, c.as_vector(h)), rows) is None
+
+
+def _quick_tries(count: int) -> Iterator[tuple[int, ...]]:
+    """The four colorings of the first two of ``count`` >= 2 edges, the rest 1."""
+    rest = (1,) * (count - 2)
+    return ((c1, c2, *rest) for c1, c2 in itertools.product((1, 2), repeat=2))
 
 
 def extend_vertex_addition(
@@ -214,10 +227,12 @@ def extend_vertex_addition(
     """Absorb a new degree->=2 vertex while keeping the old coloring frozen.
 
     ``attach`` lists the neighbors of the new vertex ``v`` (which must be the
-    next free id, ``g.n``). Only the new edges are searched: the four quick
-    tries first, then, with more than two new edges, every assignment. When
-    none works, :class:`ExtensionError` is raised — pc stays 2 by the
-    addition lemma, but only a global recoloring can realize it then.
+    next free id, ``g.n``). ``c`` must be proper-connecting; it is checked
+    once, so each try checks only the new vertex's pairs. Only the new edges
+    are searched: the four quick tries first, then, with more than two new
+    edges, every assignment. When none works, :class:`ExtensionError` is
+    raised — pc stays 2 by the addition lemma, but only a global recoloring
+    can realize it then.
     """
     if v != g.n:
         raise PreconditionError(f"new vertex must take the next id {g.n}, got {v}")
@@ -226,16 +241,18 @@ def extend_vertex_addition(
     targets = sorted(set(attach))
     if len(targets) < 2:
         raise PreconditionError("new vertex needs at least 2 attachment edges")
-    c.validate(g)
+    ok, pair = is_proper_connected(g, c)
+    if not ok:
+        raise PreconditionError(f"base coloring leaves {pair} unconnected")
     gp = g.with_vertex_added(targets)
-    new_edges = [(w, v) for w in targets]
-    found = _quick_tries(gp, c.assignment, new_edges)
-    if found is None and len(new_edges) > 2:
-        sweep = itertools.product((1, 2), repeat=len(new_edges))
-        found = _first_connecting(gp, c.assignment, new_edges, sweep)
+    edges = [(w, v) for w in targets]
+    tries = _quick_tries(len(edges))
+    if len(edges) > 2:
+        tries = itertools.chain(tries, itertools.product((1, 2), repeat=len(edges)))
+    found = _absorb(c.assignment, range(g.n), [v], edges, tries, 2, _proper_rows)
     if found is None:
         raise ExtensionError("local extension failed")
-    return gp, found
+    return gp, EdgeColoring(2, found)
 
 
 # -- 3-edge-connected: strong 2-coloring via spanning bipartite subgraph ---------
@@ -379,7 +396,7 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
             else:
                 local = {h: l for l, h in enumerate(vmap)}
                 base = strong_2_coloring_bipartite(sub).assignment
-                class_data[ci] = (local, bip.side_of, _to_host(base, vmap))
+                class_data[ci] = (local, bip.side_of, _relabel(base, vmap))
         return class_data[ci]
 
     asg: dict[Edge, int] = {}
@@ -391,9 +408,9 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
         if sub.m == 0:
             continue
         if is_connected(sub) and not bridges(sub) and bipartition(sub) is not None:
-            asg.update(_to_host(strong_2_coloring_bipartite(sub).assignment, vmap))
+            asg.update(_relabel(strong_2_coloring_bipartite(sub).assignment, vmap))
         else:
-            asg.update(_to_host(dict.fromkeys(sub.edges, 3), vmap))
+            asg.update(_relabel(dict.fromkeys(sub.edges, 3), vmap))
 
     def endpoint_in(eid: int, ci: int) -> int:
         u, v = qedges[eid]
@@ -543,20 +560,11 @@ def _ear_coloring(g: Graph, chains: list[tuple[int, ...]]) -> EdgeColoring:
         if len(ear) == 2:
             continue
         new = list(ear[1:-1])
-        labels = new + grown  # new vertices first: the checked rows
-        loc = {v: i for i, v in enumerate(labels)}
         edges = [_norm(x, y) for x, y in zip(ear, ear[1:])]
-        for first, last in _EAR_ENDS:
-            cols = _ear_colors(len(edges), first, last)
-            if cols is None:
-                continue
-            trial = {**asg, **dict(zip(edges, cols))}
-            local = {_norm(loc[x], loc[y]): col for (x, y), col in trial.items()}
-            h = Graph(len(labels), local)
-            if _strong_rows(h, EdgeColoring(3, local), range(len(new))).ok:
-                asg = trial
-                break
-        else:
+        seqs = (_ear_colors(len(edges), first, last) for first, last in _EAR_ENDS)
+        asg = _absorb(asg, grown, new, edges, (s for s in seqs if s), 3,
+                      lambda h, c, rows: _strong_rows(h, c, rows).ok)
+        if asg is None:
             raise InternalError(
                 f"no color sequence on the ear {ear} keeps its new vertices' pairs "
                 "witnessed — falsifies the ear step"
@@ -870,12 +878,12 @@ def grow_by_degree2_additions(
     if len(current) < 2:
         raise PreconditionError("seed needs at least two vertices")
     sub, vmap = g.induced(current)
-    local = _to_local(c0.assignment, sub, vmap)
-    if len(local) != sub.m or len(c0.assignment) != sub.m:
+    if c0.assignment.keys() != _relabel(dict.fromkeys(sub.edges), vmap).keys():
         raise PreconditionError("seed coloring must cover exactly the induced edges")
+    local = _relabel(c0.assignment, {v: i for i, v in enumerate(vmap)})
     ok, pair = is_proper_connected(sub, EdgeColoring(2, local))
     if not ok:
-        raise PreconditionError(f"seed coloring leaves {pair} unconnected")
+        raise PreconditionError(f"seed coloring leaves {tuple(vmap[t] for t in pair)} unconnected")
     c, chain = _grow(g, current, c0.assignment)
     if chain_out is not None:
         chain_out.extend(chain)
@@ -885,9 +893,10 @@ def grow_by_degree2_additions(
 def _grow(
     g: Graph, g0: Iterable[int], asg: dict[Edge, int]
 ) -> tuple[EdgeColoring, tuple[tuple[int, ...], ...]]:
-    """:func:`grow_by_degree2_additions` for a caller that has verified its
-    seed; also returns the chain of vertex sets."""
-    asg = dict(asg)
+    """:func:`grow_by_degree2_additions` without its seed check; also returns
+    the chain of vertex sets. Every caller has verified that ``asg``, the
+    colors of the edges ``g`` induces on ``g0``, is proper-connecting, so
+    each step checks only its new vertex's pairs."""
     cur = set(g0)
     chain = [tuple(sorted(cur))]
     while len(cur) < g.n:
@@ -901,16 +910,14 @@ def _grow(
         )
         if add is None:
             raise _stall_error(g, cur)
-        cur.add(add)
-        sub, vmap = g.induced(cur)
-        base = _to_local(asg, sub, vmap)
-        found = _quick_tries(sub, base, [e for e in sub.edges if e not in base])
-        if found is None:
+        edges = sorted(_norm(add, w) for w in g.adj[add] if w in cur)
+        asg = _absorb(asg, cur, [add], edges, _quick_tries(len(edges)), 2, _proper_rows)
+        if asg is None:
             raise InternalError(
                 f"no quick try absorbs vertex {add} into the frozen coloring of "
-                f"{len(cur) - 1} vertices — falsifies the growth step"
+                f"{len(cur)} vertices — falsifies the growth step"
             )
-        asg.update(_to_host(found.assignment, vmap))
+        cur.add(add)
         chain.append(tuple(sorted(cur)))
     return EdgeColoring(2, asg), tuple(chain)
 
@@ -930,7 +937,7 @@ def _strong_book(pages: list[tuple[int, ...]]) -> dict[Edge, int]:
     labels = [pages[0][0], pages[0][-1], *(v for p in pages for v in p[1:-1])]
     loc = {v: i for i, v in enumerate(labels)}
     h = Graph(len(labels), [(loc[x], loc[y]) for p in pages for x, y in zip(p, p[1:])])
-    return _to_host(strong_2_coloring_bipartite(h).assignment, labels)
+    return _relabel(strong_2_coloring_bipartite(h).assignment, labels)
 
 
 def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColoring]:
@@ -959,7 +966,7 @@ def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColori
     h = Graph(len(verts), scaffold)
     sub, vmap = g.induced(verts)
     c0 = lift_spanning_coloring(sub, h, strong_2_coloring_bipartite(h))
-    return verts, EdgeColoring(2, _to_host(c0.assignment, vmap))
+    return verts, EdgeColoring(2, _relabel(c0.assignment, vmap))
 
 
 def _seed_matched(
@@ -1001,9 +1008,9 @@ def _seed_matched(
         asg[_norm(u1, u2)] = 1
         asg[_norm(v1, v2)] = 2
     sub, vmap = g.induced(verts)
-    local = _to_local(asg, sub, vmap)  # every scaffold edge is a host edge
+    local = _relabel(asg, {v: i for i, v in enumerate(vmap)})  # the scaffold spans verts
     c0 = lift_spanning_coloring(sub, Graph(len(verts), local), EdgeColoring(2, local))
-    return verts, EdgeColoring(2, _to_host(c0.assignment, vmap))
+    return verts, EdgeColoring(2, _relabel(c0.assignment, vmap))
 
 
 def _color_case1(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
@@ -1019,7 +1026,7 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
     core = dec.core
     assert core is not None
     hsub, hmap = core.as_graph()
-    asg = _to_host(strong_2_coloring_bipartite(hsub).assignment, hmap)
+    asg = _relabel(strong_2_coloring_bipartite(hsub).assignment, hmap)
     vcore = set(core.vertices)
     covered_now = set(asg)
     for u, v in g.edges:
@@ -1038,7 +1045,8 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
         return EdgeColoring(2, asg)  # the body is g, and color_diam3 checks it
     body = sorted(set(range(g.n)) - set(dec.singletons))
     sub, vmap = g.induced(body)
-    ok, pair = is_proper_connected(sub, EdgeColoring(2, _to_local(asg, sub, vmap)))
+    local = _relabel(asg, {v: i for i, v in enumerate(vmap)})
+    ok, pair = is_proper_connected(sub, EdgeColoring(2, local))
     if not ok:
         raise InternalError(
             f"core-plus-strays coloring leaves {tuple(vmap[t] for t in pair)} "

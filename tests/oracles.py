@@ -76,11 +76,14 @@ def brute_has_proper_path(g: Graph, c, u: int, v: int) -> bool:
     )
 
 
-def brute_is_pc(g: Graph, c) -> bool:
+def brute_is_pc(g: Graph, c, rows=None) -> bool:
+    """Whether every pair has a proper path; with ``rows``, only pairs with
+    an end in ``rows`` count."""
     return all(
         brute_has_proper_path(g, c, u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
+        if rows is None or u in rows or v in rows
     )
 
 

@@ -5,6 +5,7 @@ oracles, golden constants) rather than trusting the module under test, and
 asserts the documented wall-clock budget where one exists.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -29,6 +30,7 @@ from properconn import (
     edge_connectivity,
     exists_pc_coloring,
     extend_vertex_addition,
+    format_coloring,
     has_strong_property,
     is_proper_connected,
     lift_spanning_coloring,
@@ -45,6 +47,8 @@ import oracles
 
 GOLDEN = Path(__file__).parent / "golden" / "mini_k2_verdict.json"
 SEED = 20260815
+# sha256 of criterion 6's vertex extensions
+EXTENSION_DIGEST = "504a2714f06b4e79b098702acc5d1282840e2d9da50db8e1edb99e210a5ae09b"
 
 
 def _noncomplete(g: Graph) -> bool:
@@ -243,6 +247,10 @@ def test_criterion_6_lemma_regressions():
         ok, pair = is_proper_connected(g, lifted)
         assert ok, pair
 
+    # The digest pins the extensions as they were when every try checked
+    # every pair of the grown graph; checking the new vertex's row alone
+    # must give the same ones.
+    digest = hashlib.sha256()
     extended = fallbacks = 0
     while extended + fallbacks < 200:
         n = rng.randint(5, 8)
@@ -255,10 +263,14 @@ def test_criterion_6_lemma_regressions():
             gp, cp = extend_vertex_addition(g, c, g.n, attach)
         except ExtensionError:
             fallbacks += 1
+            digest.update(b"fallback\n")
             continue
         ok, pair = is_proper_connected(gp, cp)
         assert ok, pair
+        digest.update(json.dumps(gp.edges).encode())
+        digest.update(format_coloring(cp).encode())
         extended += 1
+    assert digest.hexdigest() == EXTENSION_DIGEST
 
     bip = [
         g

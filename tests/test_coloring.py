@@ -375,6 +375,56 @@ class TestStrongRows:
         assert _strong_record(has_strong_property, random.Random(73)) == want
 
 
+class TestProperRows:
+    """``_first_unconnected_pair`` on the pairs at some rows, which each
+    growth step of the constructions runs on its new vertices."""
+
+    def test_matches_brute_force_on_the_rows(self):
+        rng = random.Random(79)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 60:
+            n = rng.randint(3, 7)
+            g, c = _random_colored(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), rng.randint(2, 3))
+            rows = rng.sample(range(n), rng.randint(1, n))
+            pair = coloring._first_unconnected_pair(coloring._ColorView(g, c.as_vector(g)), rows)
+            ok = oracles.brute_is_pc(g, c, set(rows))
+            assert (pair is None) == ok
+            seen[ok] += 1
+            # the first failing pair with an end in the rows
+            want = next(
+                (
+                    (u, v)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if (u in rows or v in rows) and not oracles.brute_has_proper_path(g, c, u, v)
+                ),
+                None,
+            )
+            assert pair == want
+
+    def test_every_row_gives_the_full_check(self):
+        rng = random.Random(83)
+        failed = 0
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            g, c = _random_colored(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), rng.randint(2, 3))
+            view = coloring._ColorView(g, c.as_vector(g))
+            pair = coloring._first_unconnected_pair(view, range(n))
+            assert pair == coloring._first_unconnected_pair(view)
+            assert (pair is None, pair) == is_proper_connected(g, c)
+            assert pair == next(
+                (
+                    (u, v)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if not oracles.brute_has_proper_path(g, c, u, v)
+                ),
+                None,
+            )
+            failed += pair is not None
+        assert 50 < failed < 250
+
+
 class TestTreeCertificates:
     """Witnesses read straight off the walk trees, each tree state's step
     checked against the coloring once."""

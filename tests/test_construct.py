@@ -1,7 +1,9 @@
 """Constructive 2- and 3-colorings: bipartite, 3-edge-connected, diameter 3."""
 
 import functools
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -25,6 +27,7 @@ from properconn import (
     corpus,
     exists_pc_coloring,
     extend_vertex_addition,
+    format_coloring,
     grow_by_degree2_additions,
     has_strong_property,
     is_proper_connected,
@@ -203,6 +206,14 @@ class TestExtendVertexAddition:
         with pytest.raises(PreconditionError, match="next free|next id"):
             extend_vertex_addition(g, c, 9, (0, 1))
 
+    def test_unconnecting_base_rejected(self):
+        # Each try checks only the new vertex's pairs, so the old pairs must
+        # be connected already: C4 colored all 1 leaves (0, 2) unconnected.
+        g = corpus.cycle(4)
+        c = EdgeColoring(2, dict.fromkeys(g.edges, 1))
+        with pytest.raises(PreconditionError, match=r"\(0, 2\) unconnected"):
+            extend_vertex_addition(g, c, 4, (0, 2))
+
     def test_failure_is_genuine_and_pc_stays_two(self):
         # When the frozen base refuses every assignment of the new edges, a
         # brute sweep must agree, and the extended graph must still be pc-2.
@@ -236,14 +247,15 @@ class TestExtendVertexAddition:
         assert (succeeded, fails) == (76, 0)
 
     def test_exhaustive_sweep(self, monkeypatch):
-        # The quick tries pass on every input known, so they are made to fail
-        # on three new edges: the sweep must then find a proper-connected
-        # coloring that keeps the old colors, or raise only when a brute
-        # sweep finds none either. At this seed it always finds one.
+        # The quick tries pass on every input known, so they are made to
+        # yield nothing for three new edges: the sweep must then find a
+        # proper-connected coloring that keeps the old colors, or raise only
+        # when a brute sweep finds none either. At this seed it always finds
+        # one.
         real = construct._quick_tries
 
-        def failing(gp, base, new_edges):
-            return None if len(new_edges) == 3 else real(gp, base, new_edges)
+        def failing(count):
+            return iter(()) if count == 3 else real(count)
 
         monkeypatch.setattr(construct, "_quick_tries", failing)
         rng = random.Random(43)
@@ -700,11 +712,15 @@ class TestGrowByDegree2Additions:
         c0 = EdgeColoring(2, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1})
         with pytest.raises(PreconditionError, match="unconnected"):
             grow_by_degree2_additions(g, range(4), c0)
+        # the pair is named by its ids in g, not in the induced subgraph
+        c0 = EdgeColoring(2, {(1, 2): 1, (2, 3): 1, (3, 4): 1})
+        with pytest.raises(PreconditionError, match=r"\(1, 3\) unconnected"):
+            grow_by_degree2_additions(corpus.cycle(5), (1, 2, 3, 4), c0)
 
     def test_step_without_a_passing_try_names_the_vertex(self, monkeypatch):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2)])
         c0 = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 0): 2})
-        monkeypatch.setattr(construct, "_quick_tries", lambda *args: None)
+        monkeypatch.setattr(construct, "_quick_tries", lambda count: iter(()))
         with pytest.raises(InternalError, match="vertex 4 "):
             grow_by_degree2_additions(g, range(4), c0)
 
@@ -741,6 +757,10 @@ def _case1_input(n, rng):
         if diameter(g) == 3 and connectivity(g) >= 2:
             if classify_diam3(g).case_tag in (CASE1_SUB11, CASE1_SUB12):
                 return g
+
+
+# sha256 of test_seeded_case1_inputs' colorings and growth chains
+CASE1_DIGEST = "ac8be61c06f4d547bdde3fe950924c6e113f2439e4e4548ae87f833e3e1a0a33"
 
 
 @pytest.fixture
@@ -809,9 +829,18 @@ class TestColorDiam3:
         assert c.colors_used() == 2
         assert is_proper_connected(g, c) == (True, None)
 
-    def test_seeded_case1_inputs(self, no_exact_search):
+    def test_seeded_case1_inputs(self, no_exact_search, monkeypatch):
         # Case 1 at the sizes where a seed with a one-page book once went to
         # a budgeted exact search, which could give up (see the input below).
+        # The digest pins the colorings and growth chains as the colorer gave
+        # them when each growth step still checked every pair of the grown
+        # subgraph; checking only the new vertex's row must not change them.
+        decs = []
+        classify = construct.classify_diam3
+        monkeypatch.setattr(
+            construct, "classify_diam3", lambda h: decs.append(classify(h)) or decs[-1]
+        )
+        digest = hashlib.sha256()
         rng = random.Random(0)
         shapes = set()
         for i in range(60):
@@ -823,9 +852,12 @@ class TestColorDiam3:
             assert time.process_time() - t0 < 1
             assert c.colors_used() <= 2
             assert is_proper_connected(g, c) == (True, None)
+            digest.update(format_coloring(c).encode())
+            digest.update(json.dumps(decs[-1].chain).encode())
         # A near side of 14 or more vertices always has two disjoint u1-v1
         # pages here, so the one-match shapes show up only in the test above.
         assert shapes == {(True, True), (True, False)}
+        assert digest.hexdigest() == CASE1_DIGEST
 
     def test_case1_regression_input(self, no_exact_search):
         # Far side u2-w-v2 and six matching edges: the exact search that once
