@@ -125,9 +125,6 @@ class EdgeColoring:
         object.__setattr__(c, "assignment", dict(zip(g.edges, vec)))
         return c
 
-    def relabel(self, perm: dict[int, int]) -> "EdgeColoring":
-        return EdgeColoring(self.k, {e: perm[c] for e, c in self.assignment.items()})
-
 
 @dataclass(frozen=True)
 class ProperPathCertificate:

@@ -1,7 +1,10 @@
 """Constructive proper-connection colorings.
 
 Each entry point realizes a structural guarantee as an explicit coloring and
-re-verifies the result before returning it:
+verifies the result before returning it. The colorers build their pieces
+(orientation colorings, books, seeds) unchecked and in host ids, then run one
+whole-graph check on the answer; the lemma entry points below also check the
+caller's input:
 
 * ``strong_2_coloring_bipartite`` — bridgeless bipartite graphs get a strong
   2-coloring from a strongly connected orientation.
@@ -17,7 +20,9 @@ re-verifies the result before returning it:
   them, else a decoration of the 3-edge-connected quotient, else ear by ear
   along Schmidt's chains.
 * ``classify_diam3`` / ``color_diam3`` — the full case analysis showing
-  2-connected noncomplete diameter-3 graphs need only two colors.
+  2-connected noncomplete diameter-3 graphs need only two colors: a seed
+  grown by degree-2 additions, certified by one final proper-connection
+  check.
 
 A verification failure after a construction step signals a falsified step of
 the underlying argument and raises :class:`InternalError` loudly; nothing is
@@ -109,7 +114,7 @@ def strong_2_coloring_bipartite(h: Graph) -> EdgeColoring:
 
 def _orientation_coloring(h: Graph) -> EdgeColoring:
     """The coloring of :func:`strong_2_coloring_bipartite`, unverified: a
-    caller that lifts it verifies the result once, on the host graph."""
+    colorer that builds on it checks its answer once, on the whole graph."""
     if h.n < 2:
         raise PreconditionError("need at least two vertices")
     if not is_connected(h):
@@ -364,7 +369,8 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
     share a side, and each class coloring is relabeled so traversals mesh with
     the incoming spine color. A branchless quotient is a single cycle, handled
     the same way with a color-3 seam if the parity does not close. Returns
-    None when the shape does not apply; callers must verify the result.
+    None when the shape does not apply. No piece is checked; callers must
+    verify the result.
     """
     label = _three_ec_classes(g)
     nclasses = max(label) + 1 if label else 0
@@ -395,7 +401,7 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
                 class_data[ci] = None
             else:
                 local = {h: l for l, h in enumerate(vmap)}
-                base = strong_2_coloring_bipartite(sub).assignment
+                base = _orientation_coloring(sub).assignment
                 class_data[ci] = (local, bip.side_of, _relabel(base, vmap))
         return class_data[ci]
 
@@ -408,7 +414,7 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
         if sub.m == 0:
             continue
         if is_connected(sub) and not bridges(sub) and bipartition(sub) is not None:
-            asg.update(_relabel(strong_2_coloring_bipartite(sub).assignment, vmap))
+            asg.update(_relabel(_orientation_coloring(sub).assignment, vmap))
         else:
             asg.update(_relabel(dict.fromkeys(sub.edges, 3), vmap))
 
@@ -735,16 +741,9 @@ def _classify_case1(
 
 
 def _classify_case2(g: Graph) -> Diam3Decomposition:
-    # g is 2-connected, so it has no even cycle exactly when it is an odd
-    # cycle: a 2-connected graph that is not a cycle contains a theta, and two
-    # of a theta's three paths have the same parity and close an even cycle.
-    # The core search looks for the seed even cycle itself.
-    if g.n % 2 and all(g.degree(v) == 2 for v in range(g.n)):
-        order = [0, g.adj[0][0]]
-        while len(order) < g.n:
-            u, p = order[-1], order[-2]
-            order.append(next(w for w in g.adj[u] if w != p))
-        return Diam3Decomposition(case_tag=CASE2_ODD_CYCLE, odd_cycle=tuple(order))
+    # classify_diam3 has taken the odd cycles, the only 2-connected graphs
+    # without an even cycle. The core search looks for the seed even cycle
+    # itself.
     try:
         core = maximal_2ec_bipartite_subgraph(g)
     except PreconditionError:  # no even cycle
@@ -833,8 +832,16 @@ def classify_diam3(g: Graph) -> Diam3Decomposition:
         raise PreconditionError(f"diameter is {d}, need exactly 3")
     if _three_edge_connected(g):
         return Diam3Decomposition(case_tag=CASE_THREE_EC)
-    if all(g.degree(v) == 2 for v in range(g.n)) and g.n % 2 == 1:
-        return _classify_case2(g)  # a 2-connected graph without even cycles
+    if g.n % 2 and all(g.degree(v) == 2 for v in range(g.n)):
+        # g is 2-connected, so it has no even cycle exactly when it is an odd
+        # cycle: a 2-connected graph that is not a cycle contains a theta, and
+        # two of a theta's three paths have the same parity and close an even
+        # cycle.
+        order = [0, g.adj[0][0]]
+        while len(order) < g.n:
+            u, p = order[-1], order[-2]
+            order.append(next(w for w in g.adj[u] if w != p))
+        return Diam3Decomposition(case_tag=CASE2_ODD_CYCLE, odd_cycle=tuple(order))
     wide = _wide_two_cut(g)
     if wide is not None:
         return _classify_case1(g, *wide)
@@ -894,9 +901,11 @@ def _grow(
     g: Graph, g0: Iterable[int], asg: dict[Edge, int]
 ) -> tuple[EdgeColoring, tuple[tuple[int, ...], ...]]:
     """:func:`grow_by_degree2_additions` without its seed check; also returns
-    the chain of vertex sets. Every caller has verified that ``asg``, the
-    colors of the edges ``g`` induces on ``g0``, is proper-connecting, so
-    each step checks only its new vertex's pairs."""
+    the chain of vertex sets. ``asg`` colors the edges ``g`` induces on
+    ``g0``. Each step checks only its new vertex's pairs, which is sound only
+    when ``asg`` is proper-connecting, so that old pairs keep their paths.
+    :func:`color_diam3` passes seeds nobody checked, and its final check on
+    all of ``g`` is what certifies the result."""
     cur = set(g0)
     chain = [tuple(sorted(cur))]
     while len(cur) < g.n:
@@ -930,17 +939,24 @@ def _alternating(walk: list[int]) -> dict[Edge, int]:
     return {_norm(x, y): 1 + (i & 1) for i, (x, y) in enumerate(zip(walk, walk[1:]))}
 
 
+def _bipartite_coloring(labels: Sequence[int], edges: Iterable[Edge]) -> dict[Edge, int]:
+    """:func:`_orientation_coloring` of the graph on the host ``edges``, its
+    vertices numbered in the order of ``labels`` (the orientation depends on
+    it), keyed by host ids; unchecked."""
+    loc = {v: i for i, v in enumerate(labels)}
+    h = Graph(len(labels), [(loc[x], loc[y]) for x, y in edges])
+    return _relabel(_orientation_coloring(h).assignment, labels)
+
+
 def _strong_book(pages: list[tuple[int, ...]]) -> dict[Edge, int]:
     """Strong 2-coloring of a book, keyed by host ids: two or more paths
     ("pages") of one parity between the two ends of the first page, with
     disjoint interiors, so a bridgeless bipartite graph."""
     labels = [pages[0][0], pages[0][-1], *(v for p in pages for v in p[1:-1])]
-    loc = {v: i for i, v in enumerate(labels)}
-    h = Graph(len(labels), [(loc[x], loc[y]) for p in pages for x, y in zip(p, p[1:])])
-    return _relabel(strong_2_coloring_bipartite(h).assignment, labels)
+    return _bipartite_coloring(labels, [e for p in pages for e in zip(p, p[1:])])
 
 
-def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColoring]:
+def _seed_book(dec: Diam3Decomposition) -> tuple[list[int], dict[Edge, int]]:
     """Seed for the empty-"1,2" sub-case: hub stars plus the cut edges.
 
     The scaffold (u1 and v1 starred onto the common neighbors, same on the
@@ -955,23 +971,15 @@ def _seed_book(g: Graph, dec: Diam3Decomposition) -> tuple[list[int], EdgeColori
             "cut vertex"
         )
     verts = sorted({u1, v1, u2, v2, *q10, *q20})
-    loc = {v: i for i, v in enumerate(verts)}
     scaffold = (
-        [(loc[u1], loc[w]) for w in q10]
-        + [(loc[v1], loc[w]) for w in q10]
-        + [(loc[u2], loc[w]) for w in q20]
-        + [(loc[v2], loc[w]) for w in q20]
-        + [(loc[u1], loc[u2]), (loc[v1], loc[v2])]
+        [(h, w) for h in (u1, v1) for w in q10]
+        + [(h, w) for h in (u2, v2) for w in q20]
+        + [(u1, u2), (v1, v2)]
     )
-    h = Graph(len(verts), scaffold)
-    sub, vmap = g.induced(verts)
-    c0 = lift_spanning_coloring(sub, h, strong_2_coloring_bipartite(h))
-    return verts, EdgeColoring(2, _relabel(c0.assignment, vmap))
+    return verts, _bipartite_coloring(verts, scaffold)
 
 
-def _seed_matched(
-    g: Graph, dec: Diam3Decomposition
-) -> tuple[list[int], EdgeColoring]:
+def _seed_matched(dec: Diam3Decomposition) -> tuple[list[int], dict[Edge, int]]:
     """Seed for the matched sub-case: two hub books joined by the cut.
 
     The far book has a page u2-w-v2 per common neighbor w, the near book a
@@ -1007,26 +1015,26 @@ def _seed_matched(
     else:
         asg[_norm(u1, u2)] = 1
         asg[_norm(v1, v2)] = 2
-    sub, vmap = g.induced(verts)
-    local = _relabel(asg, {v: i for i, v in enumerate(vmap)})  # the scaffold spans verts
-    c0 = lift_spanning_coloring(sub, Graph(len(verts), local), EdgeColoring(2, local))
-    return verts, EdgeColoring(2, _relabel(c0.assignment, vmap))
+    return verts, asg
 
 
 def _color_case1(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
     if dec.case_tag == CASE1_SUB11 or not dec.matching:
-        verts, c0 = _seed_book(g, dec)
+        verts, asg = _seed_book(dec)
     else:
-        verts, c0 = _seed_matched(g, dec)
-    c, dec.chain = _grow(g, verts, c0.assignment)  # lift_spanning_coloring checked c0
+        verts, asg = _seed_matched(dec)
+    seed = set(verts)
+    for u, v in g.edges:
+        if u in seed and v in seed:
+            asg.setdefault((u, v), 1)  # chords: witnesses survive added edges
+    c, dec.chain = _grow(g, verts, asg)
     return c
 
 
 def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
     core = dec.core
     assert core is not None
-    hsub, hmap = core.as_graph()
-    asg = _relabel(strong_2_coloring_bipartite(hsub).assignment, hmap)
+    asg = _bipartite_coloring(sorted(core.vertices), core.edges)
     vcore = set(core.vertices)
     covered_now = set(asg)
     for u, v in g.edges:
@@ -1042,16 +1050,8 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
             asg[(x, y)] = 2
             asg[_norm(y, ay)] = 1
     if not dec.singletons:
-        return EdgeColoring(2, asg)  # the body is g, and color_diam3 checks it
+        return EdgeColoring(2, asg)
     body = sorted(set(range(g.n)) - set(dec.singletons))
-    sub, vmap = g.induced(body)
-    local = _relabel(asg, {v: i for i, v in enumerate(vmap)})
-    ok, pair = is_proper_connected(sub, EdgeColoring(2, local))
-    if not ok:
-        raise InternalError(
-            f"core-plus-strays coloring leaves {tuple(vmap[t] for t in pair)} "
-            "unconnected — falsifies the narrow-cut construction"
-        )
     full, dec.chain = _grow(g, body, asg)
     return full
 
@@ -1059,18 +1059,21 @@ def _color_case2_bipartite(g: Graph, dec: Diam3Decomposition) -> EdgeColoring:
 def color_diam3(g: Graph) -> EdgeColoring:
     """Verified 2-coloring of a 2-connected noncomplete diameter-3 graph.
 
-    Dispatches on :func:`classify_diam3`. Construction failures raise
-    :class:`InternalError` (a falsified proof step).
+    Dispatches on :func:`classify_diam3`. Every piece is built unchecked,
+    and the returned coloring gets one whole-graph check: the strong check of
+    :func:`_color_3ec`, or else the proper-connection check here. A failed
+    construction raises :class:`InternalError` (a falsified proof step).
     """
     dec = classify_diam3(g)
     if dec.case_tag == CASE_THREE_EC:
-        c = _color_3ec(g)  # classify_diam3 checked noncomplete and lambda >= 3
-    elif dec.case_tag in (CASE1_SUB11, CASE1_SUB12):
+        return _color_3ec(g)  # classify_diam3 checked noncomplete and lambda >= 3
+    if dec.case_tag in (CASE1_SUB11, CASE1_SUB12):
         c = _color_case1(g, dec)
     elif dec.case_tag == CASE2_ODD_CYCLE:
         c = EdgeColoring(2, _alternating([*dec.odd_cycle, dec.odd_cycle[0]]))
     else:
         c = _color_case2_bipartite(g, dec)
+    # the certificate: no seed was checked before it grew (see _grow)
     ok, pair = is_proper_connected(g, c)
     if not ok:
         raise InternalError(

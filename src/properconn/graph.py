@@ -1,8 +1,8 @@
 """Small simple-graph toolkit.
 
 Immutable graphs with dense vertex ids plus the classical primitives the rest
-of the package leans on: connectivity and edge connectivity, bridges and cut
-vertices, cycle-space labels that tell every cut of one or two edges,
+of the package leans on: connectivity and edge connectivity, cycle-space
+labels that tell every cut of one or two edges (bridges among them),
 bipartiteness, diameter, two-fans (Menger), maximum cuts, maximal
 2-edge-connected bipartite subgraphs, and bipartite matching.
 
@@ -204,12 +204,6 @@ class Bipartition:
 
 
 @dataclass(frozen=True)
-class CutStructure:
-    bridges: tuple[Edge, ...]
-    cut_vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BipartiteSubgraph:
     """A bipartite subgraph carried in the host graph's vertex ids."""
 
@@ -355,56 +349,12 @@ def odd_cycle(g: Graph) -> Optional[list[int]]:
     return cu + cw[-2::-1]
 
 
-# -- bridges / cut vertices --------------------------------------------------
-
-
-def bridges_and_cut_vertices(g: Graph) -> CutStructure:
-    """Tarjan low-link pass (iterative) over every component."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent_edge = [-1] * g.n
-    bridges: list[Edge] = []
-    cut: set[int] = set()
-    timer = 0
-    eidx = g.edge_index()
-    for root in range(g.n):
-        if disc[root] >= 0:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, i = stack[-1]
-            if i < len(g.adj[u]):
-                stack[-1] = (u, i + 1)
-                w = g.adj[u][i]
-                ei = eidx[_norm(u, w)]
-                if disc[w] < 0:
-                    parent_edge[w] = ei
-                    if u == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, 0))
-                elif ei != parent_edge[u]:
-                    low[u] = min(low[u], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p]:
-                        bridges.append(_norm(p, u))
-                    if p != root and low[u] >= disc[p]:
-                        cut.add(p)
-        if root_children >= 2:
-            cut.add(root)
-    return CutStructure(tuple(sorted(bridges)), tuple(sorted(cut)))
+# -- bridges and two-edge cuts ----------------------------------------------
 
 
 def bridges(g: Graph) -> tuple[Edge, ...]:
-    return bridges_and_cut_vertices(g).bridges
+    """The bridges of ``g``, sorted: the edges :func:`cut_labels` labels 0."""
+    return tuple(e for e, lab in zip(g.edges, cut_labels(g)) if lab == 0)
 
 
 def cut_labels(g: Graph) -> list[int]:

@@ -254,23 +254,11 @@ def ncomp(h: Graph) -> int:
     return comps
 
 
-def brute_bridges_and_cuts(g: Graph):
-    """Bridges and cut vertices by removal enumeration."""
+def brute_bridges(g: Graph):
+    """Bridges by removal enumeration, in ``g.edges`` order."""
 
     base = ncomp(g)
-    bridges = tuple(
-        e for e in g.edges if ncomp(g.without_edges([e])) > base
-    )
-    # removing a vertex with degree >= 1 drops its own slot and may split its
-    # component; the count rises iff the split produced two or more parts
-    cut_vertices = []
-    for v in range(g.n):
-        if g.n <= 1:
-            break
-        sub, _ = g.induced([u for u in range(g.n) if u != v])
-        if ncomp(sub) > base:
-            cut_vertices.append(v)
-    return bridges, tuple(cut_vertices)
+    return tuple(e for e in g.edges if ncomp(g.without_edges([e])) > base)
 
 
 def brute_three_ec_classes(g: Graph) -> list[int]:

@@ -68,12 +68,6 @@ class TestEdgeColoring:
         with pytest.raises(ColoringError, match="length"):
             EdgeColoring.from_vector(g, 2, (1, 2))
 
-    def test_relabel_permutes_colors(self):
-        g = corpus.path_graph(3)
-        c = EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
-        r = c.relabel({1: 2, 2: 1})
-        assert r.color(0, 1) == 2 and r.color(1, 2) == 1
-
     def test_colors_used(self):
         g = corpus.cycle(4)
         c = EdgeColoring.from_vector(g, 5, (1, 3, 1, 3))

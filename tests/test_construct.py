@@ -117,7 +117,7 @@ class TestStrong2ColoringBipartite:
     def test_small_exhaustive(self):
         for n in range(4, 7):
             for g in corpus.connected_graphs(n):
-                if oracles.brute_bridges_and_cuts(g)[0]:
+                if oracles.brute_bridges(g):
                     continue
                 if corpus_bipartition(g) is None:
                     continue
@@ -499,6 +499,20 @@ class TestColor2Connected3:
         with pytest.raises(PreconditionError, match="2-connected"):
             color_2connected_3(corpus.path_graph(4))
 
+    def test_k33_gadget_is_checked_once(self, monkeypatch):
+        # the decoration's class colorings are not checked one by one; the
+        # strong check runs once, on the answer
+        g, _ = build_counterexample("k33", 1)
+        checked = []
+
+        def spy(h, c):
+            checked.append(h)
+            return has_strong_property(h, c)
+
+        monkeypatch.setattr(construct, "has_strong_property", spy)
+        color_2connected_3(g)
+        assert checked == [g]
+
     def test_small_two_connected_sweep(self):
         for n in range(3, 7):
             for g in corpus.connected_graphs(n):
@@ -761,6 +775,8 @@ def _case1_input(n, rng):
 
 # sha256 of test_seeded_case1_inputs' colorings and growth chains
 CASE1_DIGEST = "ac8be61c06f4d547bdde3fe950924c6e113f2439e4e4548ae87f833e3e1a0a33"
+# sha256 of test_colorings_are_pinned's colorings
+DIAM3_DIGEST = "8c590842a01ae83a6ddc3ec93610b3ea59b5b9bbdaf2988cbd1de2cd9eff8e3d"
 
 
 @pytest.fixture
@@ -875,27 +891,67 @@ class TestColorDiam3:
         assert time.process_time() - t0 < 1
         assert is_proper_connected(g, c) == (True, None)
 
-    def test_no_coloring_is_checked_twice_before_the_last(self, monkeypatch):
-        # Each seed is verified once, by the step that made it; only the
-        # returned coloring is checked again, by color_diam3 itself.
+    def test_one_whole_graph_check_per_call(self, monkeypatch):
+        # Seeds and pieces are built unchecked; each call runs one check,
+        # on the coloring it returns: the strong check of the ThreeEC case,
+        # else the proper-connection check.
         seen: list = []
+        decs: list = []
 
-        def spy(h, c):
-            seen.append((h.n, h.edges, c.as_vector(h)))
-            return is_proper_connected(h, c)
+        def spy(real):
+            def counted(h, c):
+                seen.append((h.n, h.edges, c.as_vector(h)))
+                return real(h, c)
 
-        monkeypatch.setattr(construct, "is_proper_connected", spy)
+            return counted
+
+        monkeypatch.setattr(construct, "is_proper_connected", spy(is_proper_connected))
+        monkeypatch.setattr(construct, "has_strong_property", spy(has_strong_property))
+        classify = construct.classify_diam3
+        monkeypatch.setattr(
+            construct, "classify_diam3", lambda h: decs.append(classify(h)) or decs[-1]
+        )
         eligible = lambda h: connectivity(h) >= 2 and diameter(h) == 3
         tags = set()
         for g in corpus.random_graphs_with(eligible, 60, (8, 10), seed=5):
             seen.clear()
             c = color_diam3(g)
-            if any(n < g.n for n, _, _ in seen):  # a seed grew
-                tags.add(classify_diam3(g).case_tag)
-            last = (g.n, g.edges, c.as_vector(g))
-            assert seen.count(last) <= 2
-            assert len(set(seen) - {last}) == len(seen) - seen.count(last)
+            if len(decs[-1].chain) > 1:  # a seed grew
+                tags.add(decs[-1].case_tag)
+            assert seen == [(g.n, g.edges, c.as_vector(g))]
         assert {CASE1_SUB11, CASE2_BIPARTITE} <= tags
+
+    def test_failed_seed_is_an_internal_error(self, monkeypatch):
+        # the one-match seed is one alternating walk; colored all 1, it is no
+        # input error but a failed construction
+        g = Graph(9, [(0, 2), (2, 3), (3, 1), (0, 8), (1, 8), (4, 6), (4, 7),
+                      (5, 6), (5, 7), (0, 4), (1, 5)])
+        assert classify_diam3(g).case_tag == CASE1_SUB12
+        alternating = construct._alternating
+        monkeypatch.setattr(
+            construct, "_alternating", lambda walk: dict.fromkeys(alternating(walk), 1)
+        )
+        with pytest.raises(InternalError):
+            color_diam3(g)
+
+    def test_colorings_are_pinned(self):
+        # test_exhaustive_small's 147 graphs, then test_narrow_cut_at_scale's
+        # two inputs; the digest was taken before the seeds and pieces lost
+        # their own checks
+        graphs = [
+            g
+            for n in range(4, 8)
+            for g in corpus.connected_graphs(n)
+            if not g.is_complete() and connectivity(g) >= 2 and diameter(g) == 3
+        ]
+        assert len(graphs) == 147
+        for n, s in ((20, 7), (30, 31)):
+            rng = random.Random(f"d3:{n}:{s}")
+            graphs.append(corpus.random_connected(n, int(n * rng.uniform(1.6, 3.0)), rng))
+        digest = hashlib.sha256()
+        for g in graphs:
+            digest.update(format_coloring(color_diam3(g)).encode())
+        assert digest.hexdigest() == DIAM3_DIGEST
 
     @pytest.mark.parametrize("n, s, m", [(20, 7, 52), (30, 31, 87)])
     def test_narrow_cut_at_scale(self, n, s, m):
