@@ -18,13 +18,14 @@ any color may follow, which is how the exact solver screens partial colorings
 with the same loop.
 
 The walk tree settles pairs first. The all-pairs and strong checks run, per
-source, the same BFS with each state's parent kept, ``_walk_tree``, and read
-the walk to every state back; a walk that repeats no vertex is a proper path,
-and so is each of its prefixes. A pair with such a path is settled. The
-strong check needs two whose colors differ at both ends, and it reads them
-from the trees of both ends of a pair, since a path reversed is a path; one
-linear rule, ``_witness``, picks them from any list of paths. Only the pairs
-the trees leave open are searched.
+source, the same BFS with each state's parent kept, ``_walk_tree``, which
+also marks, as it adds each state, whether the walk to it repeats a vertex;
+a walk that repeats none is a proper path, and so is each of its prefixes. A
+pair with such a path is settled. The strong check needs two whose colors
+differ at both ends, and it reads them from the trees of both ends of a
+pair, since a path reversed is a path; one linear rule, ``_witness``, picks
+them from any list of paths. Only the pairs the trees leave open are
+searched, in both checks by the one query below.
 
 Every path search is one query, ``_one_path``: a proper s-t path whose
 first color avoids one given color and whose last color avoids another (or
@@ -307,74 +308,60 @@ def _walk_arrivals(
 
 def _walk_tree(
     inc: Incidence, colors: Sequence[int], source: int
-) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+) -> tuple[list[int], list[tuple[int, int]], list[int], list[list[int]], list[int]]:
     """The BFS of :func:`_walk_arrivals` from ``source`` that also keeps each
-    state's parent, so that a proper walk to any state can be read back.
+    state's parent, so that a proper walk to any state can be read back, and
+    marks the walks that are paths.
 
-    Returns ``(arr, states, parent)``: ``arr`` as :func:`_walk_arrivals`
-    returns it, ``states`` the (vertex, last color) states in BFS order with
-    the source's ``(source, 0)`` first, and ``parent[j]`` the index of the
-    state that state ``j`` was reached from (-1 for the source). The parents
-    from a state back to the source spell a proper walk, reversed; when it
-    repeats no vertex it is a proper path. Only the path checks build this
-    tree: the solver's prune keeps the leaner :func:`_walk_arrivals`, which a
-    parent list would slow by about 8%. The all-pairs check drops each tree
-    after its source's row; the strong check also reads a pair's far end's
-    tree, so it keeps the trees of later sources until their own rows.
+    Returns ``(arr, states, parent, paths, first)``: ``arr`` as
+    :func:`_walk_arrivals` returns it, ``states`` the (vertex, last color)
+    states in BFS order with the source's ``(source, 0)`` first,
+    ``parent[j]`` the index of the state that state ``j`` was reached from
+    (-1 for the source), ``paths[v]`` the states at ``v``, in BFS order, whose
+    tree walk repeats no vertex, and ``first[j]`` the color by which the walk
+    to state ``j`` leaves the source. The parents from a state back to the
+    source spell a proper walk, reversed; when it repeats no vertex it is a
+    proper path. A new state's walk is a path when its parent's walk is one
+    and does not pass through the new vertex; a state that reaches its vertex
+    first (``arr`` had no bit there) passes that second test for free, since
+    every state on its parent's walk comes earlier. Only the path checks
+    build this tree: the solver's prune keeps the leaner
+    :func:`_walk_arrivals`, which a parent list would slow by about 8%. The
+    all-pairs check drops each tree after its source's row; the strong check
+    also reads a pair's far end's tree, so it keeps the trees of later
+    sources until their own rows.
     """
     arr = [0] * len(inc)
     arr[source] = 1
     states = [(source, 0)]
     parent = [-1]
+    first = [0]
+    simple = [True]
+    paths: list[list[int]] = [[] for _ in inc]
+    paths[source].append(0)
     for j, (v, last) in enumerate(states):
+        fj, sj = first[j], simple[j]
         for w, i in inc[v]:
             col = colors[i]
             if col and col == last:
                 continue
             bit = 1 << col
-            if not arr[w] & bit:
-                arr[w] |= bit
+            had = arr[w]
+            if not had & bit:
+                arr[w] = had | bit
+                ok = sj
+                if ok and had:
+                    q = j
+                    while q >= 0 and states[q][0] != w:
+                        q = parent[q]
+                    ok = q < 0
+                if ok:
+                    paths[w].append(len(states))
                 states.append((w, col))
                 parent.append(j)
-    return arr, states, parent
-
-
-def _tree_paths(
-    states: Sequence[tuple[int, int]], parent: Sequence[int], n: int
-) -> tuple[list[list[int]], list[int]]:
-    """Which walks of a :func:`_walk_tree` are paths.
-
-    Returns ``(paths, first)``: ``paths[v]`` lists, in BFS order, the states
-    at ``v`` whose tree walk repeats no vertex, and ``first[j]`` is the color
-    by which the walk to state ``j`` leaves the source. A walk is a path when
-    its parent's walk is one and does not pass through its last vertex; a
-    state that reaches its vertex first in BFS order passes that second test
-    for free, since every state on its parent's walk comes earlier.
-    """
-    paths: list[list[int]] = [[] for _ in range(n)]
-    first = [0] * len(states)
-    simple = [False] * len(states)
-    simple[0] = True
-    paths[states[0][0]].append(0)
-    seen = [False] * n
-    seen[states[0][0]] = True
-    for j in range(1, len(states)):
-        v, col = states[j]
-        p = parent[j]
-        first[j] = first[p] or col
-        if simple[p]:
-            if seen[v]:
-                q = p
-                while q >= 0 and states[q][0] != v:
-                    q = parent[q]
-                ok = q < 0
-            else:
-                ok = True
-            if ok:
-                simple[j] = True
-                paths[v].append(j)
-        seen[v] = True
-    return paths, first
+                first.append(fj or col)
+                simple.append(ok)
+    return arr, states, parent, paths, first
 
 
 def _tree_path(
@@ -508,9 +495,8 @@ def _one_path(
 # on s's z/z' and one r_t on t's, the matched graph edges of a perfect
 # matching form a proper s-t path (plus proper cycles), and back. So a proper
 # s-t path exists iff Edmonds' search from r_s, against the gadgets' internal
-# perfect matching, reaches z_t or z'_t as an outer vertex: one search
-# settles every target of s, and with r_t present it augments, and the new
-# matching spells out the path. A pendant hung on x_a alone instead takes
+# perfect matching, reaches z_t or z'_t as an outer vertex; with r_t present
+# the search augments, and the new matching spells out the path. A pendant hung on x_a alone instead takes
 # x_a out of the path: z-z' must then match, and the one x_i left for a
 # graph edge has i != a, so the path's color at that end is not a.
 
@@ -572,14 +558,6 @@ class _Gadget:
             for z in hooks:
                 adj[z] += (r,)
         return adj, self.mate + [-1] * len(ends)
-
-
-def _matching_reach(view: _ColorView, s: int) -> list[bool]:
-    """``reach[t]``: a proper s-t path exists; one search settles every t."""
-    gad = view.gadget()
-    adj, mate = gad.with_pendants((s, 0))
-    outer, _, _ = _blossom_search(adj, mate, len(adj) - 1)
-    return [any(outer[z] for z in ends) for ends in gad.ends]
 
 
 def _matching_path(
@@ -655,7 +633,7 @@ def _first_unconnected_pair(
     :func:`_strong_rows`.
 
     One walk tree per source ``u`` settles every ``v`` with a tree walk that
-    is a path; only the pairs it leaves open are searched.
+    is a path; each pair it leaves open is one :func:`_one_path` query.
     """
     n = view.g.n
     row_set = range(n) if rows is None else set(rows)
@@ -664,23 +642,11 @@ def _first_unconnected_pair(
         vs = range(u + 1, n) if u in row_set else [v for v in later if v > u]
         if not vs:
             continue
-        arr, states, parent = _walk_tree(view.inc, view.colors, u)
-        paths, _ = _tree_paths(states, parent, n)
-        reach = None  # u's matching reach, once a DFS toward u overran
+        arr, _, _, paths, _ = _walk_tree(view.inc, view.colors, u)
         for v in vs:
-            if paths[v]:
-                continue
-            if reach is None:
-                # A reversed proper path is a proper path: search v -> u,
-                # which prunes with this one walk sweep from u.
-                try:
-                    if _dfs_path(view, v, u, arr) is None:
-                        return u, v
-                    continue
-                except _Overrun:
-                    # one matching search settles all of u's remaining pairs
-                    reach = _matching_reach(view, u)
-            if not reach[v]:
+            # A reversed proper path is a proper path: search v -> u, which
+            # prunes with this one walk sweep from u.
+            if not paths[v] and _one_path(view, v, u, arr) is None:
                 return u, v
     return None
 
@@ -777,11 +743,10 @@ _End = tuple[int, int, _SourceTree, int, bool]
 
 
 def _source_tree(view: _ColorView, s: int) -> _SourceTree:
-    """The walk tree from ``s`` with its simple states (:func:`_tree_paths`)
-    and no state checked yet."""
-    arr, states, parent = _walk_tree(view.inc, view.colors, s)
-    paths, first = _tree_paths(states, parent, len(view.inc))
-    return arr, states, parent, paths, first, bytearray(len(states))
+    """The walk tree from ``s`` with its simple states and no state checked
+    yet."""
+    tree = _walk_tree(view.inc, view.colors, s)
+    return (*tree, bytearray(len(tree[1])))
 
 
 def _tree_ends(tree: _SourceTree, t: int, far: bool) -> list[_End]:

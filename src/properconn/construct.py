@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graph import (
+    Bipartition,
     BipartiteSubgraph,
     Edge,
     Graph,
@@ -127,7 +128,12 @@ def _orientation_coloring(h: Graph) -> EdgeColoring:
         cyc = odd_cycle(h)
         assert cyc is not None
         raise OddCycleError(cyc)
+    return _orient(h, bip)
 
+
+def _orient(h: Graph, bip: Bipartition) -> EdgeColoring:
+    """:func:`_orientation_coloring` of a graph that the caller has found
+    connected and bridgeless, with ``bip`` its bipartition."""
     tail: dict[Edge, int] = {}
     seen = [False] * h.n
     stack = [(0, iter(h.adj[0]))]
@@ -388,35 +394,31 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
 
     class_data: dict[int, tuple] = {}
 
-    def chain_class(ci: int):
-        """(host->local map, side lookup, base coloring keyed by host ids)."""
+    def class_coloring(ci: int):
+        """(host->local map, side lookup, coloring keyed by host ids) of a
+        multi-vertex class: its orientation coloring when it induces a
+        connected bridgeless bipartite subgraph, else color 3 on its edges
+        and no side lookup. Each class is tested once."""
         if ci not in class_data:
-            cl = members[ci]
-            sub, vmap = g.induced(cl)
+            sub, vmap = g.induced(members[ci])
+            local = {h: l for l, h in enumerate(vmap)}
             if (
-                not is_connected(sub)
+                not sub.m
+                or not is_connected(sub)
                 or bridges(sub)
                 or (bip := bipartition(sub)) is None
             ):
-                class_data[ci] = None
+                class_data[ci] = (local, None, _relabel(dict.fromkeys(sub.edges, 3), vmap))
             else:
-                local = {h: l for l, h in enumerate(vmap)}
-                base = _orientation_coloring(sub).assignment
+                base = _orient(sub, bip).assignment
                 class_data[ci] = (local, bip.side_of, _relabel(base, vmap))
         return class_data[ci]
 
     asg: dict[Edge, int] = {}
     branch_set = {ci for ci in range(nclasses) if len(qinc[ci]) != 2}
     for ci in branch_set:
-        if len(members[ci]) == 1:
-            continue
-        sub, vmap = g.induced(members[ci])
-        if sub.m == 0:
-            continue
-        if is_connected(sub) and not bridges(sub) and bipartition(sub) is not None:
-            asg.update(_relabel(_orientation_coloring(sub).assignment, vmap))
-        else:
-            asg.update(_relabel(dict.fromkeys(sub.edges, 3), vmap))
+        if len(members[ci]) > 1:
+            asg.update(class_coloring(ci)[2])
 
     def endpoint_in(eid: int, ci: int) -> int:
         u, v = qedges[eid]
@@ -439,10 +441,9 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
                 bits.append(bits[-1] ^ 1)
                 sigmas.append(None)
                 continue
-            data = chain_class(mid)
-            if data is None:
+            local, side_of, _ = class_coloring(mid)
+            if side_of is None:
                 return False
-            local, side_of, _ = data
             s_in, s_out = side_of(local[p_in]), side_of(local[p_out])
             sigmas.append(s_in ^ 1 ^ bits[-1])
             bits.append(bits[-1] ^ s_in ^ s_out ^ 1)
@@ -454,7 +455,7 @@ def _ring_decoration(g: Graph) -> Optional[EdgeColoring]:
         for i, mid in enumerate(mids):
             if sigmas[i] is None:
                 continue
-            _, _, base = chain_class(mid)
+            _, _, base = class_coloring(mid)
             for e, col in base.items():
                 asg[e] = col if sigmas[i] == 0 else 3 - col
         return True

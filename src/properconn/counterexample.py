@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .graph import (
@@ -110,35 +110,7 @@ class GadgetSpec:
         return at_start[0], at_end[0]
 
     def to_json(self) -> str:
-        def half(h: HalfSpec) -> dict:
-            return {
-                "interior": list(h.interior),
-                "entry": h.entry,
-                "exit": h.exit,
-                "attach_edges": [list(e) for e in h.attach_edges],
-                "cut_edges": [list(e) for e in h.cut_edges],
-                "blocks": [list(b) for b in h.blocks],
-                "parity": h.parity,
-            }
-
-        return json.dumps(
-            {
-                "variant": self.variant,
-                "scale": self.scale,
-                "links": [list(e) for e in self.links],
-                "pairs": [
-                    {
-                        "name": p.name,
-                        "start": p.start,
-                        "end": p.end,
-                        "halves": [half(h) for h in p.halves],
-                    }
-                    for p in self.pairs
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "GadgetSpec":

@@ -93,6 +93,7 @@ from typing import Callable, Optional, Sequence
 
 from .graph import (
     Graph,
+    InternalError,
     PreconditionError,
     SearchBudgetExceeded,
     all_pairs_distances,
@@ -522,7 +523,7 @@ def sample_refute(
             continue
         # independent re-verification of the witness pair
         if proper_path_exists(g, c, pair[0], pair[1]) is not None:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal disagreement: pair {pair} reported failing but a "
                 "proper path exists"
             )

@@ -505,13 +505,10 @@ class TestWitnessRule:
             most[gave] = max(most[gave], calls - before)
             return pair
 
-        def no_paths(states, parent, n):
-            return [[] for _ in range(n)], [0] * len(states)
-
         monkeypatch.setattr(coloring, "_one_path", counting)
         monkeypatch.setattr(coloring, "_strong_pair", budgeted)
         if not tree_paths:
-            monkeypatch.setattr(coloring, "_tree_paths", no_paths)
+            _blank_tree_paths(monkeypatch)
         rng = random.Random(71)
         for _ in range(300):
             n = rng.randint(3, 7)
@@ -524,6 +521,18 @@ class TestWitnessRule:
         assert most[True] <= 2 and most[False] <= 3
         # the budget is reached, so the counts can see a query too many
         assert most[tree_paths] == (2 if tree_paths else 3)
+
+
+def _blank_tree_paths(monkeypatch):
+    """Make every walk tree mark no state as a path, so every pair is
+    searched."""
+    walk_tree = coloring._walk_tree
+
+    def no_paths(inc, colors, source):
+        arr, states, parent, paths, first = walk_tree(inc, colors, source)
+        return arr, states, parent, [[] for _ in paths], [0] * len(first)
+
+    monkeypatch.setattr(coloring, "_walk_tree", no_paths)
 
 
 def _strong_matches_brute_force(rng):
@@ -653,10 +662,7 @@ class TestWalkTree:
     def test_checks_match_oracles_without_tree_paths(self, monkeypatch):
         # every tree walk reads as repeating a vertex, so every pair goes
         # through the DFS, the matching and the four strong queries
-        def no_paths(states, parent, n):
-            return [[] for _ in range(n)], [0] * len(states)
-
-        monkeypatch.setattr(coloring, "_tree_paths", no_paths)
+        _blank_tree_paths(monkeypatch)
         _checks_match_oracles(random.Random(47), 300)
 
     def test_far_end_tree_matches_brute_force(self, monkeypatch):
@@ -685,7 +691,6 @@ class TestWalkTree:
 
         monkeypatch.setattr(coloring, "_dfs_path", refuse)
         monkeypatch.setattr(coloring, "_matching_path", refuse)
-        monkeypatch.setattr(coloring, "_matching_reach", refuse)
         g, c = _cycle_coloring(n, [1 + i % 2 for i in range(n)])
         assert is_proper_connected(g, c) == (True, None)
         chk = has_strong_property(g, c)
@@ -701,30 +706,52 @@ class TestWalkTree:
             g, c = _random_colored(rng, n, rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n)), 3)
             inc, colors = coloring._incidence(g), c.as_vector(g)
             for s in range(n):
-                arr, states, parent = coloring._walk_tree(inc, colors, s)
+                arr, states, parent, paths, first = coloring._walk_tree(inc, colors, s)
                 assert arr == coloring._walk_arrivals(inc, colors, s)
-                paths, first = coloring._tree_paths(states, parent, n)
+                simple_states = [[] for _ in range(n)]  # in BFS order
                 for j, (v, last) in enumerate(states):
                     walk = coloring._tree_path(states, parent, j)
                     assert walk[0] == v and walk[-1] == s
-                    simple = len(set(walk)) == len(walk)
-                    assert (j in paths[v]) == simple
-                    if simple and j:
-                        cert = certificate_from_path(g, c, walk[::-1])
-                        assert (cert.start_color, cert.end_color) == (first[j], last)
+                    if len(set(walk)) == len(walk):
+                        simple_states[v].append(j)
+                        if j:
+                            cert = certificate_from_path(g, c, walk[::-1])
+                            assert (cert.start_color, cert.end_color) == (first[j], last)
+                assert paths == simple_states
 
 
 class TestMatchingFallback:
-    """Path queries forced through the blossom-matching fallback (DFS budget
-    0), against the brute-force path oracles."""
+    """Path queries forced through the blossom-matching fallback, against the
+    brute-force path oracles. Under DFS budget 0 every query that survives
+    the walk filter goes to the matching; under budget 3 the DFS still
+    answers the short ones, so one source's row of the all-pairs check mixes
+    DFS answers with matching answers."""
 
-    @pytest.fixture(autouse=True)
-    def _matching_only(self, monkeypatch):
-        monkeypatch.setattr(coloring, "_DFS_BUDGET", 0)
+    @pytest.fixture(autouse=True, params=(0, 3), ids=("budget0", "budget3"))
+    def _matching_only(self, request, monkeypatch):
+        # (route, target) of every answered query, in order
+        monkeypatch.setattr(coloring, "_DFS_BUDGET", request.param)
+        answers = []
+        dfs_path, matching_path = coloring._dfs_path, coloring._matching_path
 
-    def test_matches_brute_force(self):
+        def dfs(view, s, t, *args):
+            path = dfs_path(view, s, t, *args)  # an overrun raises past this
+            answers.append(("dfs", t))
+            return path
+
+        def matching(view, s, t, *args):
+            answers.append(("matching", t))
+            return matching_path(view, s, t, *args)
+
+        monkeypatch.setattr(coloring, "_dfs_path", dfs)
+        monkeypatch.setattr(coloring, "_matching_path", matching)
+        return request.param, answers
+
+    def test_matches_brute_force(self, _matching_only, monkeypatch):
+        budget, answers = _matching_only
         rng = random.Random(29)
-        single_color = pendant = passing = 0
+        single_color = pendant = passing = mixed = 0
+        used = set()  # the routes that answered
         for _ in range(250):
             n = rng.randint(2, 7)
             m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
@@ -742,13 +769,35 @@ class TestMatchingFallback:
                         cert.validate(g, c)
                         assert (cert.path[0], cert.path[-1]) == (u, v)
             assert is_proper_connected(g, c) == (first_dead is None, first_dead)
+            # again with every pair of a row searched: the all-pairs check
+            # searches v -> u, so a row's target is u, and under budget 3 a
+            # row goes on with the DFS after the matching answered a pair
+            used.update(route for route, _ in answers)
+            answers.clear()
+            with monkeypatch.context() as mp:
+                _blank_tree_paths(mp)
+                assert is_proper_connected(g, c) == (first_dead is None, first_dead)
+            overran = set()
+            for route, u in answers:
+                if route == "matching":
+                    overran.add(u)
+                mixed += route == "dfs" and u in overran
+            used.update(route for route, _ in answers)
+            answers.clear()
             passing += first_dead is None
         assert single_color and pendant and 25 <= passing <= 225
+        assert "matching" in used
+        if budget:
+            assert "dfs" in used and mixed
 
-    def test_strong_check_matches_brute_force(self):
+    def test_strong_check_matches_brute_force(self, _matching_only):
         # every query that the walk filter leaves open, the ones with a
-        # forbidden end color included, goes through the matching
+        # forbidden end color included, goes through the matching, or under
+        # budget 3 through the DFS when it is short
+        budget, answers = _matching_only
         _strong_matches_brute_force(random.Random(37))
+        routes = {route for route, _ in answers}
+        assert "matching" in routes and (not budget or "dfs" in routes)
 
 
 class TestScale:

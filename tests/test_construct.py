@@ -434,7 +434,6 @@ class TestStrongCheckOnConstructions:
 
         monkeypatch.setattr(coloring, "_dfs_path", refuse)
         monkeypatch.setattr(coloring, "_matching_path", refuse)
-        monkeypatch.setattr(coloring, "_matching_reach", refuse)
         chk = has_strong_property(g, c)
         assert chk.ok and len(chk.witnesses) == g.n * (g.n - 1) // 2
         for w in chk.witnesses.values():
@@ -512,6 +511,32 @@ class TestColor2Connected3:
         monkeypatch.setattr(construct, "has_strong_property", spy)
         color_2connected_3(g)
         assert checked == [g]
+
+    @pytest.mark.parametrize(
+        "scale, digest",
+        [
+            (1, "e7eb5dd2fc3bfc1a93b8f579380664f77c517b89c199f568316b10caace6862a"),
+            (2, "569ff6e13f5238cae7aceebb571c1a001d7e8cdcc958b8c862fa3326084c6ab9"),
+        ],
+        ids=("scale1", "scale2"),
+    )
+    def test_k33_decoration_tests_each_class_once(self, scale, digest, monkeypatch):
+        # each of the 18 multi-vertex classes is tested once for
+        # connectivity, bridges and bipartiteness, and oriented without a
+        # second test; the coloring is the one pinned (sha256 of
+        # format_coloring, recorded before the class tests were shared)
+        g, _ = build_counterexample("k33", scale)
+        calls = dict.fromkeys(("is_connected", "bridges", "bipartition"), 0)
+        for name in calls:
+
+            def spy(h, real=getattr(construct, name), name=name):
+                calls[name] += 1
+                return real(h)
+
+            monkeypatch.setattr(construct, name, spy)
+        c = construct._ring_decoration(g)
+        assert calls == dict.fromkeys(calls, 18)
+        assert hashlib.sha256(format_coloring(c).encode()).hexdigest() == digest
 
     def test_small_two_connected_sweep(self):
         for n in range(3, 7):

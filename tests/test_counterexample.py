@@ -1,5 +1,6 @@
 """The two-gadget-ring family: construction, structure checks, refutation."""
 
+import hashlib
 import json
 import random
 
@@ -94,11 +95,19 @@ class TestBuild:
         with pytest.raises(PreconditionError, match="scale"):
             build_counterexample("k33", 4)
 
-    def test_spec_json_roundtrip(self, k33_pair):
+    def test_spec_json_roundtrip(self, k33_pair, mini_pair):
         _, spec = k33_pair
         again = GadgetSpec.from_json(spec.to_json())
         assert again == spec
         assert json.loads(spec.to_json())["variant"] == "k33"
+        # sha256 of the text, recorded when each field was written by hand
+        pins = {
+            "mini": "d44ce9ac84e5d9dd4291a300a060d12a00ee3aab60a797463c9d9da83d4887c0",
+            "k33": "5eae9653e7f0c94ed5e22323430297aa2c5a2ebf7425b03364628fb87182a83f",
+        }
+        for _, spec in (mini_pair, k33_pair):
+            assert spec.scale == 1
+            assert hashlib.sha256(spec.to_json().encode()).hexdigest() == pins[spec.variant]
 
 
 class TestVerifyStructure:

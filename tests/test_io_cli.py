@@ -14,6 +14,7 @@ from properconn import (
     ColoringError,
     EdgeColoring,
     ParseError,
+    ProperPathCertificate,
     RunReport,
     corpus,
     format_coloring,
@@ -339,6 +340,18 @@ class TestCliSample:
         assert blob["result"]["successes"] == [0, 1, 2, 3, 4]
         assert blob["result"]["failures"] == []
         assert "proper-connecting-samples-found" in blob["evidence"]
+
+    def test_disagreement_is_a_failed_verification(self, tmp_path, capsys, monkeypatch):
+        # the re-check finds a path for the pair the check called failing
+        from properconn import solver
+
+        g = corpus.path_graph(3)
+        cert = ProperPathCertificate((0, 1, 2), (1, 2))
+        monkeypatch.setattr(solver, "proper_path_exists", lambda *args: cert)
+        gpath = _graph_file(tmp_path, g)
+        assert main(["sample", gpath, "-k", "1", "-t", "3", "--json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pc: verification failed: internal disagreement: pair (0, 2)")
 
 
 class TestCliGenRefute:
