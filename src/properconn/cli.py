@@ -139,7 +139,10 @@ def _cmd_exact(args, report: RunReport) -> int:
         "coloring": _coloring_rows(res.coloring),
         "nodes": res.stats["nodes"],
     }
-    report.evidence = [res.evidence]
+    # palettes below a bound of 2 or more were skipped by the bridge lemma,
+    # not searched
+    bound = ["bridge-bound"] if res.stats["lower_bound"] >= 2 else []
+    report.evidence = bound + [res.evidence]
     if args.output:
         _write_file(args.output, format_coloring(res.coloring))
     return EXIT_OK

@@ -77,7 +77,14 @@ depend on the depth alone. ``_plan`` lists them per depth once per graph,
 cached on it like the incidence, and every search on the graph (each palette
 size of ``pc_exact`` included) reads that plan.
 
-``pc_exact`` wraps the search in an ascending loop over palette sizes;
+``pc_exact`` wraps the search in an ascending loop over palette sizes. The
+loop starts at a bound that needs no search: if vx and vy are bridges at v,
+the only x-y path is x, v, y, so the bridges at one vertex need pairwise
+distinct colors, and pc(G) is at least the largest number of bridges at one
+vertex (for a tree, the maximum degree). The same lemma rules out every
+strong coloring of a graph with a bridge, since the bridge is the only path
+between its ends, so strong mode rejects such a graph before any search.
+Every palette the loop does search runs the search above unchanged.
 ``sample_refute`` hammers a fixed palette with seeded random colorings and
 returns verified failure witnesses.
 """
@@ -88,6 +95,7 @@ import functools
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -97,6 +105,7 @@ from .graph import (
     PreconditionError,
     SearchBudgetExceeded,
     all_pairs_distances,
+    bridges,
     is_connected,
 )
 from .coloring import (
@@ -416,25 +425,46 @@ def pc_exact(
 ) -> PcResult:
     """Smallest k admitting a properly connecting k-coloring, with witness.
 
-    Tries k = 1, 2, ... up to ``k_max`` (default: the edge count). Raises a
-    typed error on disconnected input and :class:`SearchBudgetExceeded`
-    (inconclusive, with the proven lower bound and the nodes spent over every
-    palette size tried) if a budget runs out. With
-    ``require_strong`` the target is the strong variant of the invariant.
+    Tries k = lower, lower + 1, ... up to ``k_max`` (default: the edge
+    count), where ``lower`` is the largest number of bridges at one vertex
+    (at least 1): those bridges need distinct colors, so no smaller palette
+    can work. ``stats["lower_bound"]`` records it and ``stats["bound_vertex"]``
+    a vertex with that many bridges (None when g has none). Raises a typed
+    error on disconnected input or when no palette up to ``k_max`` works (at
+    once when ``k_max`` is below the bound), and
+    :class:`SearchBudgetExceeded` (inconclusive, with the proven lower bound
+    and the nodes spent over every palette size tried) if a budget runs out.
+    With ``require_strong`` the target is the strong variant of the
+    invariant, and a graph with a bridge is rejected before any search.
     """
     if g.n >= 2 and not is_connected(g):
         raise PreconditionError("proper connection number needs a connected graph")
+    brs = bridges(g)
+    if require_strong and brs:
+        raise PreconditionError(
+            f"no strong coloring: bridge {brs[0]} is the only path between its ends"
+        )
     if k_max is None:
         k_max = max(g.m, 1)
-    stats: dict = {"per_k": {}, "nodes": 0, "sibling_settled": 0, "strong_pruned": 0}
+    at = Counter(v for e in brs for v in e)
+    lower = max(1, max(at.values(), default=0))
+    stats: dict = {
+        "per_k": {},
+        "nodes": 0,
+        "sibling_settled": 0,
+        "strong_pruned": 0,
+        "lower_bound": lower,
+        "bound_vertex": min((v for v in at if at[v] == lower), default=None),
+    }
     t0 = time.perf_counter()
     budget_left = budget_nodes
-    for k in range(1, k_max + 1):
+    for k in range(lower, k_max + 1):
         search = _Search(g, k, require_strong, budget_left)
         try:
             got = search.run()
         except SearchBudgetExceeded:
-            # every k below this one was refuted, so k is a lower bound
+            # every k below this one was refuted or is below the bound, so k
+            # is a lower bound
             raise SearchBudgetExceeded(k, k, stats["nodes"] + search.nodes) from None
         stats["per_k"][k] = search.nodes
         stats["nodes"] += search.nodes

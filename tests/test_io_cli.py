@@ -184,6 +184,11 @@ class TestCliExact:
         assert blob["result"]["value"] == 2
         assert blob["evidence"] == ["exhaustive"]
 
+    def test_strong_on_a_bridge_exit_2(self, tmp_path, capsys):
+        path = _graph_file(tmp_path, corpus.path_graph(3))
+        assert main(["exact", path, "--strong"]) == 2
+        assert "bridge (0, 1) is the only path" in capsys.readouterr().err
+
     def test_budget_inconclusive_exit_3(self, tmp_path, capsys):
         path = _graph_file(tmp_path, corpus.petersen())
         code = main(["exact", path, "--budget-nodes", "5", "--json"])

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from properconn import (
     EdgeColoring,
+    Graph,
     PreconditionError,
     SearchBudgetExceeded,
     corpus,
@@ -17,7 +19,7 @@ from properconn import (
     sample_refute,
 )
 from properconn import coloring, solver
-from properconn.graph import all_pairs_distances, bfs_distances, connectivity
+from properconn.graph import all_pairs_distances, bfs_distances, bridges, connectivity
 
 import oracles
 
@@ -146,6 +148,81 @@ class TestPcExact:
     def test_kmax_exhausted_raises(self):
         with pytest.raises(PreconditionError, match="at most 1"):
             pc_exact(corpus.star(3), k_max=1)
+
+
+def _two_k4s_and_a_bridge():
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return Graph(8, k4 + [(a + 4, b + 4) for a, b in k4] + [(0, 4)])
+
+
+class TestBridgeBound:
+    """The bridges at one vertex need distinct colors, so ``pc_exact`` starts
+    its sweep at their largest number, and a bridge rules out every strong
+    coloring."""
+
+    def test_bound_is_at_most_pc(self):
+        for n in range(2, 6):
+            for g in corpus.connected_graphs(n):
+                res = pc_exact(g)
+                lower, v = res.stats["lower_bound"], res.stats["bound_vertex"]
+                assert lower <= oracles.brute_pc_exact(g) == res.value
+                assert min(res.stats["per_k"]) == lower
+                # v has ``lower`` bridges; a bridgeless graph has no such v
+                assert (v is None) == (not bridges(g))
+                if v is not None:
+                    assert sum(v in e for e in bridges(g)) == lower
+
+    def test_trees_start_at_max_degree(self):
+        for n in range(2, 9):
+            for t in corpus.trees(n):
+                res = pc_exact(t)
+                v = res.stats["bound_vertex"]
+                assert res.stats["lower_bound"] == res.value == t.max_degree() == t.degree(v)
+                assert set(res.stats["per_k"]) == {res.value}
+
+    def test_same_answer_as_the_sweep_from_one(self):
+        rng = random.Random(79)
+        bounded = 0
+        for _ in range(60):
+            n = rng.randint(7, 10)
+            g = corpus.random_connected(n, rng.randint(n - 1, 3 * n // 2), rng)
+            k = 1
+            while (want := exists_pc_coloring(g, k)) is None:
+                k += 1
+            res = pc_exact(g)
+            assert (res.value, res.coloring) == (k, want)
+            bounded += res.stats["lower_bound"] > 1
+        assert bounded > 20
+
+    def test_strong_mode_rejects_a_bridge_at_once(self):
+        # a budget of 0 nodes fails any search, so this proves none ran; the
+        # searches over k <= 4 did not finish in 200 s
+        g = _two_k4s_and_a_bridge()
+        t0 = time.process_time()
+        with pytest.raises(PreconditionError) as ei:
+            pc_exact(g, k_max=4, budget_nodes=0, require_strong=True)
+        assert time.process_time() - t0 < 1.0
+        assert str(ei.value) == (
+            "no strong coloring: bridge (0, 4) is the only path between its ends"
+        )
+        assert pc_exact(g).value == 2
+
+    def test_bridged_graphs_have_no_strong_coloring(self):
+        # the lemma strong mode relies on, against the search itself
+        for n in range(2, 5):
+            for g in corpus.connected_graphs(n):
+                if bridges(g):
+                    assert exists_pc_coloring(g, 3, require_strong=True) is None
+                    with pytest.raises(PreconditionError, match="bridge"):
+                        pc_exact(g, require_strong=True)
+
+    def test_kmax_below_the_bound_builds_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a palette below the bound was searched")
+
+        monkeypatch.setattr(solver, "_Search", no_search)
+        with pytest.raises(PreconditionError, match="at most 2 colors"):
+            pc_exact(corpus.star(6), k_max=2)
 
 
 class TestSampleRefute:
@@ -465,6 +542,12 @@ def _pinned_graphs():
     return graphs
 
 
+def _from_bound(per_k, res):
+    """``per_k`` restricted to the palettes ``pc_exact`` searched: those from
+    its bridge bound up."""
+    return {k: n for k, n in per_k.items() if k >= res.stats["lower_bound"]}
+
+
 class TestSearchTreePins:
     @pytest.mark.parametrize("i", range(len(_TREE_PINS)))
     def test_node_and_leaf_counts(self, i):
@@ -480,18 +563,26 @@ class TestSearchTreePins:
         assert found.as_vector(g) == vec
         res = pc_exact(g)
         assert res.value == len(want)
-        assert res.stats["per_k"] == {k: nodes for k, (nodes, _) in enumerate(want, 1)}
+        per_k = {k: nodes for k, (nodes, _) in enumerate(want, 1)}
+        assert res.stats["per_k"] == _from_bound(per_k, res)
         assert res.coloring == found
 
     @pytest.mark.parametrize("i, settled, bfs", [(0, 1456, 3889), (2, 2635, 5278)])
     def test_fresh_sibling_memo_counts(self, bfs_calls, i, settled, bfs):
-        # nodes the memo answers, and walk BFS runs, over pc_exact; without
-        # the memo the BFS runs are 5,326 and 7,889
-        res = pc_exact(_pinned_graphs()[i])
-        assert (res.stats["sibling_settled"], bfs_calls[0]) == (settled, bfs)
-        stats = {}
-        exists_pc_coloring(_pinned_graphs()[i], res.value, stats_out=stats)
-        assert 0 < stats["sibling_settled"] < settled
+        # nodes the memo answers, and walk BFS runs, over the searches at
+        # k = 1 ... pc; without the memo the BFS runs are 5,326 and 7,889
+        g = _pinned_graphs()[i]
+        res = pc_exact(g)
+        bfs_calls[0] = 0
+        per_k = {}
+        for k in range(1, res.value + 1):
+            stats = {}
+            exists_pc_coloring(g, k, stats_out=stats)
+            per_k[k] = stats["sibling_settled"]
+        assert (sum(per_k.values()), bfs_calls[0]) == (settled, bfs)
+        assert 0 < per_k[res.value] < settled
+        # pc_exact searches only the palettes from its bridge bound up
+        assert res.stats["sibling_settled"] == sum(_from_bound(per_k, res).values())
 
     def test_mini_strong_budget(self, mini):
         # the one-color rule proves that no strong 2-coloring exists; without
@@ -592,7 +683,7 @@ class TestPlainSearch:
             per_k = _assert_plain_tree(g, range(1, delta + 1))
             res = pc_exact(g)
             assert res.value == delta
-            assert res.stats["per_k"] == per_k
+            assert res.stats["per_k"] == _from_bound(per_k, res)
             assert res.coloring == exists_pc_coloring(g, delta)
 
     def test_small_graphs(self):
@@ -602,7 +693,7 @@ class TestPlainSearch:
             g = corpus.random_connected(n, rng.randint(n - 1, 3 * n // 2), rng)
             per_k = _assert_plain_tree(g, range(1, g.m + 1))
             res = pc_exact(g)
-            assert res.stats["per_k"] == per_k
+            assert res.stats["per_k"] == _from_bound(per_k, res)
             assert res.value == max(per_k)
 
     def test_strong_tries(self):
