@@ -85,6 +85,21 @@ vertex (for a tree, the maximum degree). The same lemma rules out every
 strong coloring of a graph with a bridge, since the bridge is the only path
 between its ends, so strong mode rejects such a graph before any search.
 Every palette the loop does search runs the search above unchanged.
+
+A tree is answered without a search. Its edges, in the search's own order,
+each get the smallest color that no colored edge at their ends has, and the
+result is exactly the search's first leaf at k = Δ:
+
+* every greedy prefix extends: when BFS order colors (u, w), w is new, so the
+  only colored edges at its ends sit at u, and a color <= deg(u) <= Δ is free;
+* on a tree, properly connecting is the same as proper, since two adjacent
+  edges lie on the path between their far ends;
+* the greedy color is at most maxused + 1, so the coloring is canonical;
+* the prune is sound and colors are tried in ascending order, so the first
+  leaf is the lexicographically first proper completion: the greedy one.
+
+The answer is still certified by the one whole-graph check a leaf runs.
+
 ``sample_refute`` hammers a fixed palette with seeded random colorings and
 returns verified failure witnesses.
 """
@@ -95,7 +110,7 @@ import functools
 import itertools
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -127,7 +142,7 @@ class PcResult:
 
     value: int
     coloring: Optional[EdgeColoring]
-    evidence: str  # "exhaustive" | "sampled-refutation" | "constructive-upper"
+    evidence: str  # "exhaustive" | "constructive-upper"
     stats: dict = field(default_factory=dict)
 
 
@@ -136,8 +151,6 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
     seen_v = [False] * g.n
     seen_e: set[tuple[int, int]] = set()
     order: list[tuple[int, int]] = []
-    from collections import deque
-
     for root in range(g.n):
         if seen_v[root]:
             continue
@@ -436,6 +449,12 @@ def pc_exact(
     and the nodes spent over every palette size tried) if a budget runs out.
     With ``require_strong`` the target is the strong variant of the
     invariant, and a graph with a bridge is rejected before any search.
+
+    A tree (every edge a bridge) gets pc = Δ = ``lower`` with evidence
+    ``"constructive-upper"`` and no search: the greedy coloring in the
+    search's edge order is the search's first leaf (see the module
+    docstring), certified by the leaf's check, and ``per_k`` is {Δ: 0}. No
+    node is spent, so no budget, not even 0, can run out on a tree.
     """
     if g.n >= 2 and not is_connected(g):
         raise PreconditionError("proper connection number needs a connected graph")
@@ -457,6 +476,30 @@ def pc_exact(
         "bound_vertex": min((v for v in at if at[v] == lower), default=None),
     }
     t0 = time.perf_counter()
+    if g.m and len(brs) == g.m and k_max >= lower:
+        # a tree: the greedy coloring in the search's edge order is its first
+        # leaf at k = Δ (see the module docstring), checked as a leaf is
+        inc, eidx = _incidence(g), g.edge_index()
+        ecolor = [0] * g.m
+        for a, b in _bfs_edge_order(g):
+            taken = {ecolor[j] for x in (a, b) for _, j in inc[x]}
+            col = 1
+            while col in taken:
+                col += 1
+            ecolor[eidx[a, b]] = col
+        pair = _first_unconnected_pair(_ColorView(g, ecolor))
+        if pair is not None:
+            raise InternalError(
+                f"internal disagreement: the greedy tree coloring leaves pair {pair} "
+                "without a proper path"
+            )
+        got = EdgeColoring.from_vector(g, lower, ecolor)
+        got.validate(g)
+        stats["per_k"][lower] = 0
+        stats["runtime_s"] = time.perf_counter() - t0
+        return PcResult(
+            value=lower, coloring=got, evidence="constructive-upper", stats=stats
+        )
     budget_left = budget_nodes
     for k in range(lower, k_max + 1):
         search = _Search(g, k, require_strong, budget_left)

@@ -9,6 +9,7 @@ import pytest
 from properconn import (
     EdgeColoring,
     Graph,
+    InternalError,
     PreconditionError,
     SearchBudgetExceeded,
     corpus,
@@ -85,7 +86,7 @@ class TestPcExact:
         for m in range(2, 6):
             res = pc_exact(corpus.star(m))
             assert res.value == m
-            assert res.evidence == "exhaustive"
+            assert res.evidence == "constructive-upper"
             assert is_proper_connected(corpus.star(m), res.coloring) == (True, None)
 
     def test_trees_need_max_degree(self):
@@ -223,6 +224,66 @@ class TestBridgeBound:
         monkeypatch.setattr(solver, "_Search", no_search)
         with pytest.raises(PreconditionError, match="at most 2 colors"):
             pc_exact(corpus.star(6), k_max=2)
+
+
+def _trees_for_the_route():
+    """Every tree on 2 to 10 vertices, then 40 seeded trees on 9 to 12."""
+    trees = [t for n in range(2, 11) for t in corpus.trees(n)]
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(9, 12)
+        trees.append(corpus.random_connected(n, n - 1, rng))
+    return trees
+
+
+class TestTreeRoute:
+    """``pc_exact`` answers a tree with the greedy coloring in the search's
+    edge order, which is the search's first leaf at k = Δ, and certifies it
+    with the leaf's check instead of searching."""
+
+    def test_first_leaf_without_a_search(self):
+        for t in _trees_for_the_route():
+            delta = t.max_degree()
+            res = pc_exact(t)
+            assert (res.value, res.evidence) == (delta, "constructive-upper")
+            assert res.coloring == exists_pc_coloring(t, delta), t.edges
+            assert res.stats["nodes"] == 0
+            assert res.stats["per_k"] == {delta: 0}
+
+    def test_builds_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a tree was searched")
+
+        monkeypatch.setattr(solver, "_Search", no_search)
+        for n in range(2, 8):
+            for t in corpus.trees(n):
+                assert pc_exact(t).value == t.max_degree()
+
+    def test_no_budget_can_run_out(self):
+        for n in range(2, 8):
+            for t in corpus.trees(n):
+                assert pc_exact(t, budget_nodes=0).value == t.max_degree()
+        assert pc_exact(corpus.star(4), k_max=4, budget_nodes=0).value == 4
+
+    def test_one_check_per_call(self, monkeypatch):
+        calls = [0]
+        real = solver._first_unconnected_pair
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_first_unconnected_pair", counting)
+        for t in _trees_for_the_route():
+            calls[0] = 0
+            pc_exact(t)
+            assert calls[0] == 1, t.edges
+
+    def test_failed_check_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_first_unconnected_pair", lambda *a, **k: (0, 1))
+        for t in (corpus.path_graph(2), corpus.star(3), corpus.trees(6)[0]):
+            with pytest.raises(InternalError, match=r"pair \(0, 1\)"):
+                pc_exact(t)
 
 
 class TestSampleRefute:
@@ -563,8 +624,12 @@ class TestSearchTreePins:
         assert found.as_vector(g) == vec
         res = pc_exact(g)
         assert res.value == len(want)
-        per_k = {k: nodes for k, (nodes, _) in enumerate(want, 1)}
-        assert res.stats["per_k"] == _from_bound(per_k, res)
+        if g.m == g.n - 1:
+            # a tree is answered without a search (TestTreeRoute)
+            assert res.stats["per_k"] == {res.value: 0}
+        else:
+            per_k = {k: nodes for k, (nodes, _) in enumerate(want, 1)}
+            assert res.stats["per_k"] == _from_bound(per_k, res)
         assert res.coloring == found
 
     @pytest.mark.parametrize("i, settled, bfs", [(0, 1456, 3889), (2, 2635, 5278)])
@@ -581,8 +646,8 @@ class TestSearchTreePins:
             per_k[k] = stats["sibling_settled"]
         assert (sum(per_k.values()), bfs_calls[0]) == (settled, bfs)
         assert 0 < per_k[res.value] < settled
-        # pc_exact searches only the palettes from its bridge bound up
-        assert res.stats["sibling_settled"] == sum(_from_bound(per_k, res).values())
+        # both graphs are trees, which pc_exact answers without a search
+        assert res.stats["sibling_settled"] == 0
 
     def test_mini_strong_budget(self, mini):
         # the one-color rule proves that no strong 2-coloring exists; without
@@ -683,7 +748,7 @@ class TestPlainSearch:
             per_k = _assert_plain_tree(g, range(1, delta + 1))
             res = pc_exact(g)
             assert res.value == delta
-            assert res.stats["per_k"] == _from_bound(per_k, res)
+            assert res.stats["per_k"] == {delta: 0}
             assert res.coloring == exists_pc_coloring(g, delta)
 
     def test_small_graphs(self):
@@ -693,7 +758,11 @@ class TestPlainSearch:
             g = corpus.random_connected(n, rng.randint(n - 1, 3 * n // 2), rng)
             per_k = _assert_plain_tree(g, range(1, g.m + 1))
             res = pc_exact(g)
-            assert res.stats["per_k"] == _from_bound(per_k, res)
+            if g.m == n - 1:
+                # a tree is answered without a search (TestTreeRoute)
+                assert res.stats["per_k"] == {res.value: 0}
+            else:
+                assert res.stats["per_k"] == _from_bound(per_k, res)
             assert res.value == max(per_k)
 
     def test_strong_tries(self):
@@ -781,7 +850,9 @@ class TestSearchPlan:
             return real(g)
 
         monkeypatch.setattr(solver, "all_pairs_distances", counting)
-        g = _pinned_graphs()[0]
-        assert g.m == g.n - 1 and len(_TREE_PINS[0][0]) == 4
-        assert pc_exact(g).value == 4
+        # a graph with a cycle, so pc_exact searches k = 1, 2 and 3
+        g = _pinned_graphs()[6]
+        assert g.m > g.n - 1 and len(_TREE_PINS[6][0]) == 3
+        res = pc_exact(g)
+        assert res.value == 3 and set(res.stats["per_k"]) == {1, 2, 3}
         assert calls[0] == 1
